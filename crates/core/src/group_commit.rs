@@ -2,17 +2,18 @@
 //! "transactions are committed in batches ... the log is synced once per
 //! batch, amortizing the disk latency over the group").
 //!
-//! The policy is a pure state machine shared by both drivers: it watches
+//! The policy is a pure state machine owned by
+//! [`PartitionNode`](crate::partition_node::PartitionNode): it watches
 //! appends accumulate and decides *when* the log should be synced — when the
 //! batch fills ([`DurabilityConfig::max_batch`]) or when the oldest unsynced
-//! record has waited [`DurabilityConfig::group_commit_interval`]. The driver
-//! owns the [`DurableLog`](hcc_storage::DurableLog) itself and performs the
-//! sync; results for records in the batch are parked until the sync
+//! record has waited [`DurabilityConfig::group_commit_interval`]. The node
+//! owns the [`DurableLog`](hcc_storage::DurableLog) and asks its caller to
+//! perform the sync; results for records in the batch are parked until the sync
 //! completes (clients only see a commit once it is durable).
 //!
 //! The **stall guard** is the robustness half: a log whose sync does not
 //! complete within [`DurabilityConfig::sync_deadline`] must not wedge every
-//! client parked behind it. When [`GroupCommit::stalled`] fires, the driver
+//! client parked behind it. When [`GroupCommit::stalled`] fires, the node
 //! aborts the in-flight batch with the retryable
 //! [`AbortReason::LogStalled`](hcc_common::AbortReason::LogStalled) instead
 //! of holding results forever. The records may still be on disk (append
@@ -54,10 +55,6 @@ impl GroupCommit {
             sync_issued_at: None,
             counters: DurabilityCounters::default(),
         }
-    }
-
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.cfg
     }
 
     /// Records appended but not yet durable.

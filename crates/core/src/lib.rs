@@ -24,8 +24,13 @@
 //!
 //! None of these types know about threads, channels, clocks, or sockets:
 //! they consume protocol events and emit protocol messages through an
-//! [`outbox::Outbox`], and are driven by `hcc-sim` (discrete-event
-//! simulation) and `hcc-runtime` (OS threads + channels) identically.
+//! [`outbox::Outbox`]. Two nodes compose them per role:
+//! [`partition_node::PartitionNode`] (scheduler, sequencing gate, commit
+//! log shipping, group commit and failover) and
+//! [`coordinator_node::CoordinatorNode`] (2PC, epoch sequencing and stall
+//! expiry). `hcc-sim` (discrete-event simulation) and `hcc-runtime` (OS
+//! threads + channels) are adapters over those two nodes: they deliver
+//! messages, supply the clock and inject faults.
 
 // Associated-type generics make some signatures long; aliases would
 // obscure more than they clarify here.
@@ -35,6 +40,7 @@ pub mod adaptive;
 pub mod blocking;
 pub mod client;
 pub mod coordinator;
+pub mod coordinator_node;
 pub mod engine;
 pub mod group_commit;
 pub mod locking_sched;
@@ -42,6 +48,7 @@ pub mod membership;
 pub mod occ;
 pub mod oracle;
 pub mod outbox;
+pub mod partition_node;
 pub mod procedure;
 pub mod recovery;
 pub mod replica;
@@ -52,19 +59,18 @@ pub mod testkit;
 pub mod txn_driver;
 
 pub use adaptive::{AdaptiveScheduler, AnySched};
+pub use coordinator_node::{CoordIn, CoordinatorNode};
 pub use engine::{ExecOutcome, ExecutionEngine};
 pub use group_commit::{FlushDecision, GroupCommit};
 pub use membership::{MembershipCore, MembershipUpdate};
 pub use outbox::{Outbox, PartitionOut};
+pub use partition_node::{NodeOut, NodeStats, PartitionIn, PartitionNode};
 pub use procedure::{Procedure, Request, RequestGenerator, RoundOutputs, Step};
 pub use recovery::{
     recover_partition, recover_partitions_parallel, PartitionLog, RecoveryError, RecoveryOutcome,
 };
 pub use replica::{AckTracker, ReplayError, ReplicaCore, ReplicationSession};
-pub use scheduler::{
-    make_scheduler, make_scheduler_resumed, make_scheduler_send, make_scheduler_send_resumed,
-    Scheduler,
-};
+pub use scheduler::{make_scheduler, Scheduler};
 pub use sequencer::{
     broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
     PendingInvoke, ShardSequencer,

@@ -93,7 +93,7 @@ pub fn run_scheme(
 ) -> OracleOutcome {
     let config = SystemConfig::new(scheme);
     let mut engine = TestEngine::with_data(initial).with_stripe_locks(stripe_shift);
-    let mut sched = make_scheduler::<TestEngine>(&config, hcc_common::PartitionId(0));
+    let mut sched = make_scheduler::<TestEngine>(&config, hcc_common::PartitionId(0), None);
     let mut out: Outbox<TestOutput> = Outbox::new(config.costs);
 
     let mut committed: BTreeMap<usize, TestOutput> = BTreeMap::new();

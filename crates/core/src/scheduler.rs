@@ -61,91 +61,49 @@ pub trait Scheduler<E: ExecutionEngine> {
     }
 }
 
-/// One source of truth for scheduler construction: both `make_scheduler`
-/// variants expand this, differing only in the trait object's `Send`
-/// bound (a type position a generic function can't abstract over).
-macro_rules! build_scheduler {
-    ($config:expr, $me:expr, $resume:expr) => {
-        if $config.adaptive.is_on() {
-            // ISSUE 10: `scheme` is only the starting point — wrap it in
-            // the adaptive controller, which re-plans live from observed
-            // statistics (and resumes its predecessor's scheme/epoch
-            // after a promotion).
-            Box::new(crate::adaptive::AdaptiveScheduler::new(
-                $config, $me, $resume,
-            ))
-        } else {
-            match $config.scheme {
-                Scheme::Blocking => {
-                    let mut s = crate::blocking::BlockingScheduler::new($me, $config.costs);
-                    s.set_sequenced($config.sequencing_active());
-                    Box::new(s)
-                }
-                Scheme::Speculative => {
-                    let mut s = crate::speculative::SpeculativeScheduler::new(
-                        $me,
-                        $config.costs,
-                        $config.max_speculation_depth,
-                    );
-                    s.set_local_only($config.local_speculation_only);
-                    s.set_sequenced($config.sequencing_active());
-                    Box::new(s)
-                }
-                Scheme::Locking => Box::new(crate::locking_sched::LockingScheduler::new(
-                    $me,
-                    $config.costs,
-                    $config.lock_timeout,
-                )),
-                Scheme::Occ => Box::new(crate::occ::OccScheduler::new($me, $config.costs)),
-            }
+/// Construct the scheduler for partition `me`: the adaptive controller
+/// when `config.adaptive` is on, else the scheme `config.scheme` selects.
+/// `resume` is the last [`SchemeSwitch`] a replica applied — what a
+/// promoted backup passes so it continues in the scheme (and at the
+/// transition epoch) its failed primary had reached; ignored unless
+/// adaptive selection is on (the scheme is static then). The box is
+/// `Send` so callers may move a partition across threads.
+pub fn make_scheduler<E>(
+    config: &SystemConfig,
+    me: hcc_common::PartitionId,
+    resume: Option<SchemeSwitch>,
+) -> Box<dyn Scheduler<E> + Send>
+where
+    E: ExecutionEngine + Send + 'static,
+    E::Fragment: Send,
+    E::Output: Send,
+{
+    if config.adaptive.is_on() {
+        // `scheme` is only the starting point: the adaptive controller
+        // re-plans live from observed statistics.
+        return Box::new(crate::adaptive::AdaptiveScheduler::new(config, me, resume));
+    }
+    match config.scheme {
+        Scheme::Blocking => {
+            let mut s = crate::blocking::BlockingScheduler::new(me, config.costs);
+            s.set_sequenced(config.sequencing_active());
+            Box::new(s)
         }
-    };
-}
-
-/// Construct the scheduler selected by `config.scheme` for partition `me`.
-pub fn make_scheduler<E: ExecutionEngine + 'static>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-) -> Box<dyn Scheduler<E>> {
-    build_scheduler!(config, me, None)
-}
-
-/// As [`make_scheduler`], but resuming from the last [`SchemeSwitch`] a
-/// replica applied — what a promoted backup passes so it continues in the
-/// scheme (and at the transition epoch) its failed primary had reached.
-/// Ignored unless adaptive selection is on (the scheme is static then).
-pub fn make_scheduler_resumed<E: ExecutionEngine + 'static>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-    resume: Option<SchemeSwitch>,
-) -> Box<dyn Scheduler<E>> {
-    build_scheduler!(config, me, resume)
-}
-
-/// As [`make_scheduler`], but a `Send` trait object, for drivers that move
-/// partition state machines across threads (the live runtime's backends).
-pub fn make_scheduler_send<E>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-) -> Box<dyn Scheduler<E> + Send>
-where
-    E: ExecutionEngine + Send + 'static,
-    E::Fragment: Send,
-    E::Output: Send,
-{
-    build_scheduler!(config, me, None)
-}
-
-/// [`make_scheduler_resumed`], `Send` variant (see [`make_scheduler_send`]).
-pub fn make_scheduler_send_resumed<E>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-    resume: Option<SchemeSwitch>,
-) -> Box<dyn Scheduler<E> + Send>
-where
-    E: ExecutionEngine + Send + 'static,
-    E::Fragment: Send,
-    E::Output: Send,
-{
-    build_scheduler!(config, me, resume)
+        Scheme::Speculative => {
+            let mut s = crate::speculative::SpeculativeScheduler::new(
+                me,
+                config.costs,
+                config.max_speculation_depth,
+            );
+            s.set_local_only(config.local_speculation_only);
+            s.set_sequenced(config.sequencing_active());
+            Box::new(s)
+        }
+        Scheme::Locking => Box::new(crate::locking_sched::LockingScheduler::new(
+            me,
+            config.costs,
+            config.lock_timeout,
+        )),
+        Scheme::Occ => Box::new(crate::occ::OccScheduler::new(me, config.costs)),
+    }
 }

@@ -17,10 +17,11 @@
 //! [`hcc_core::replica::ReplicaCore`] (paper §3.2). A [`ReplicaActor`]
 //! owns one node and changes [`Role`] over its lifetime:
 //!
-//! * **Primary** — the scheme's scheduler + engine, shipping a
-//!   [`CommitRecord`] per commit to every backup and holding
-//!   single-partition results until the record is under the group's acked
-//!   watermark (§2.2: a transaction commits once it is on `k` replicas).
+//! * **Primary** — an `hcc_core::PartitionNode`: the scheme's scheduler
+//!   and engine, shipping a [`CommitRecord`] per commit to every backup
+//!   and holding single-partition results until the record is under the
+//!   group's acked watermark (§2.2: a transaction commits once it is on
+//!   `k` replicas).
 //! * **Backup** — sequence-checked replay; every applied record is acked
 //!   back to whichever slot shipped it. Replay failures are *propagated*
 //!   into [`ReplicationCounters`] and surfaced in the run report, never
@@ -57,35 +58,22 @@
 //! One failover per group per run is supported (the `FailurePlan` is
 //! one-shot).
 
-use hcc_common::codec::encode_to_vec;
 use hcc_common::stats::SequencerStats;
-use hcc_common::stats::{
-    AdaptiveStats, DurabilityCounters, ReplicationCounters, SchedulerCounters,
-};
 use hcc_common::{
-    AbortReason, CachePadded, ClientId, CommitRecord, CoordinatorId, CoordinatorRef, CostModel,
-    Decision, DurabilityConfig, FragmentResponse, FragmentTask, FxHashMap, Nanos, PartitionId,
-    Scheme, SchemeSwitch, SystemConfig, TxnId, TxnResult,
+    AbortReason, CachePadded, ClientId, CommitRecord, CoordinatorId, CoordinatorRef, Decision,
+    FragmentResponse, FragmentTask, Nanos, PartitionId, Scheme, SystemConfig, TxnId, TxnResult,
 };
 use hcc_core::client::{ClientCore, ClientStats, NextAction, PendingRequest};
-use hcc_core::coordinator::{CoordOut, Coordinator, PeerNote};
-use hcc_core::group_commit::{FlushDecision, GroupCommit};
+use hcc_core::coordinator::{CoordOut, PeerNote};
 use hcc_core::membership::MembershipCore;
-use hcc_core::replica::{
-    failover_bounce, AckTracker, FailoverBounce, ReplicaCore, ReplicationSession,
-};
-use hcc_core::sequencer::{
-    broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
-    ShardSequencer,
-};
+use hcc_core::replica::{failover_bounce, FailoverBounce, ReplicaCore};
+use hcc_core::sequencer::{EpochLog, EpochLogDest};
 use hcc_core::txn_driver::TxnDriver;
 use hcc_core::{
-    make_scheduler_send, make_scheduler_send_resumed, ExecutionEngine, Outbox, PartitionOut,
-    Procedure, Request, RequestGenerator, Scheduler,
+    CoordIn, CoordinatorNode, ExecutionEngine, NodeOut, NodeStats, PartitionIn, PartitionNode,
+    Procedure, Request, RequestGenerator,
 };
-use hcc_storage::{DurableLog, MemLog};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Logical address of an actor.
@@ -582,249 +570,62 @@ where
 // Coordinator
 // ---------------------------------------------------------------------
 
-/// One central coordinator shard (paper §3.3) as an actor: a routing
-/// shell over [`Coordinator`]. Clients are statically partitioned across
-/// shards; each shard owns its own 2PC, speculation-chain, and (in
-/// failover runs) in-doubt commit state. Membership authority lives in
-/// [`MembershipActor`], whose routing updates this actor consumes.
+/// One central coordinator shard (paper §3.3) as an actor: a message
+/// adapter over [`CoordinatorNode`]. Clients are statically partitioned
+/// across shards; each shard owns its own 2PC, speculation-chain, epoch
+/// sequencing and (in failover runs) in-doubt commit state. Membership
+/// authority lives in [`MembershipActor`], whose routing updates this
+/// actor consumes.
 pub struct CoordinatorActor<E: ExecutionEngine> {
-    coord: Coordinator<E::Fragment, E::Output>,
-    id: CoordinatorId,
-    /// Stall expiry for cross-shard distributed deadlocks (`Some` only
-    /// with N > 1 shards and sequencing off; the singleton's global
-    /// dispatch order cannot deadlock, and under sequencing the merged
-    /// epoch order leaves nothing for expiry to break). Driven by
-    /// `Msg::Tick`.
-    expiry: Option<Nanos>,
-    /// Epoch sequencer (invocation buffer + log emitter); `None` when
-    /// sequencing is off. Age-boundary closes ride `Msg::Tick`.
-    seq: Option<ShardSequencer<E::Fragment, E::Output>>,
-    /// Broadcast geometry + age boundary for the sequencer.
-    partitions: u32,
-    shards: u32,
-    seq_delay: Nanos,
-    /// `CrossCoordinator` expiry aborts issued by this shard (any mode;
-    /// must stay zero while sequencing is on — see [`SequencerStats`]).
-    cross_coord_aborts: u64,
+    node: CoordinatorNode<E::Fragment, E::Output>,
     scratch: Vec<CoordOut<E::Fragment, E::Output>>,
 }
 
 impl<E: ExecutionEngine> CoordinatorActor<E> {
-    pub fn new(
-        costs: CostModel,
-        id: CoordinatorId,
-        track_in_doubt: bool,
-        hold_results: bool,
-        expiry: Option<Nanos>,
-    ) -> Self {
-        let mut coord = Coordinator::shard(costs, id, track_in_doubt);
-        coord.set_hold_results(hold_results);
+    pub fn new(system: &SystemConfig, id: CoordinatorId, track_in_doubt: bool) -> Self {
         CoordinatorActor {
-            coord,
-            id,
-            expiry,
-            seq: None,
-            partitions: 0,
-            shards: 1,
-            seq_delay: Nanos::ZERO,
-            cross_coord_aborts: 0,
+            node: CoordinatorNode::new(system, id, track_in_doubt, None),
             scratch: Vec::new(),
         }
     }
 
-    /// Turn on epoch sequencing for this shard (call before the run
-    /// starts; backends do this when `SystemConfig::sequencing_active()`).
-    /// With peer shards, also enables the decision broadcast that lets
-    /// speculation chains span shards.
-    pub fn enable_sequencing(&mut self, system: &SystemConfig) {
-        debug_assert!(system.sequencing_active());
-        let shards = system.coordinators.max(1);
-        self.partitions = system.partitions;
-        self.shards = shards;
-        self.seq_delay = system.sequencing.max_delay();
-        self.seq = Some(ShardSequencer::new(self.id, system.sequencing.batch()));
-        if shards > 1 {
-            let peers = (0..shards)
-                .filter(|&j| j != self.id.0)
-                .map(CoordinatorId)
-                .collect();
-            self.coord.set_peer_broadcast(peers);
-        }
+    /// Whether the shard needs periodic [`Msg::Tick`]s (stall expiry or
+    /// epoch age-closes).
+    pub fn wants_ticks(&self) -> bool {
+        self.node.wants_ticks()
     }
 
-    /// Sequencer counters for the run report (zero when sequencing is
-    /// off, except `cross_coord_aborts`, counted in any mode).
+    /// Sequencer counters for the run report.
     pub fn seq_stats(&self) -> SequencerStats {
-        let mut stats = self
-            .seq
-            .as_ref()
-            .map(|s| s.stats().clone())
-            .unwrap_or_default();
-        stats.cross_coord_aborts += self.cross_coord_aborts;
-        stats
-    }
-
-    /// Emit a closed epoch: the log broadcast goes into `out` *before* the
-    /// epoch's invocations dispatch fragments (also via `out`, drained
-    /// from the scratch at the end of `step`), so per-mailbox FIFO lands
-    /// each log ahead of the round-0 fragments it orders.
-    fn emit_closed(
-        &mut self,
-        closed: ClosedEpoch<E::Fragment, E::Output>,
-        now: Nanos,
-        out: &mut Vec<OutMsg<E>>,
-    ) {
-        for dest in broadcast_dests(self.partitions, self.shards, self.id) {
-            let (dest, msg) = match dest {
-                EpochLogDest::Partition(p) => {
-                    (ActorId::Partition(p), Msg::EpochLog(closed.log.clone()))
-                }
-                EpochLogDest::Shard(k) => {
-                    (ActorId::Coordinator(k), Msg::EpochLog(closed.log.clone()))
-                }
-            };
-            out.push(OutMsg { dest, msg });
-        }
-        for inv in closed.invokes {
-            self.coord.on_invoke_at(
-                inv.txn,
-                inv.client,
-                inv.procedure,
-                inv.can_abort,
-                now,
-                &mut self.scratch,
-            );
-        }
+        self.node.seq_stats()
     }
 
     pub fn step(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        debug_assert!(self.scratch.is_empty());
-        match msg {
+        let input = match msg {
             Msg::Invoke {
                 txn,
                 client,
                 procedure,
                 can_abort,
-            } => {
-                if self.seq.is_some() {
-                    let closed = self
-                        .seq
-                        .as_mut()
-                        .expect("checked")
-                        .push(txn, client, procedure, can_abort, now);
-                    if let Some(closed) = closed {
-                        self.emit_closed(closed, now, out);
-                    }
-                } else {
-                    self.coord.on_invoke_at(
-                        txn,
-                        client,
-                        procedure,
-                        can_abort,
-                        now,
-                        &mut self.scratch,
-                    )
-                }
+            } => CoordIn::Invoke {
+                txn,
+                client,
+                procedure,
+                can_abort,
+            },
+            Msg::Response(r) => CoordIn::Response(r),
+            Msg::DecisionAck { txn, partition } => CoordIn::DecisionAck { txn, partition },
+            Msg::PeerNote(note) => CoordIn::PeerNote(note),
+            Msg::EpochLog(log) => CoordIn::EpochLog(log),
+            Msg::RoutingUpdate { partition, epoch } => CoordIn::RoutingUpdate { partition, epoch },
+            Msg::Tick => CoordIn::Tick,
+            _ => {
+                debug_assert!(false, "unexpected message at coordinator");
+                return;
             }
-            Msg::Response(r) => self.coord.on_response(r, &mut self.scratch),
-            Msg::Tick => {
-                if let Some(timeout) = self.expiry {
-                    // Presumed distributed deadlock across shards: abort
-                    // with the retryable CrossCoordinator so the clients
-                    // re-submit (§4.3's timeout resolution, applied to
-                    // coordinator chains).
-                    let before = self.scratch.len();
-                    self.coord.expire_stalled(
-                        now,
-                        timeout,
-                        AbortReason::CrossCoordinator,
-                        &mut self.scratch,
-                    );
-                    let expired = self.scratch[before..]
-                        .iter()
-                        .filter(|m| {
-                            matches!(
-                                m,
-                                CoordOut::ClientResult {
-                                    result: TxnResult::Aborted(AbortReason::CrossCoordinator),
-                                    ..
-                                }
-                            )
-                        })
-                        .count() as u64;
-                    self.cross_coord_aborts += expired;
-                    // Backends disable expiry under sequencing; an abort
-                    // here with the sequencer live is a wiring bug.
-                    debug_assert!(
-                        self.seq.is_none() || expired == 0,
-                        "CrossCoordinator abort while sequencing is on"
-                    );
-                }
-                // Age boundary: close the open epoch once its oldest
-                // buffered invocation has waited `max_delay`.
-                let closed = match &mut self.seq {
-                    Some(seq)
-                        if seq
-                            .oldest_enqueued_at()
-                            .is_some_and(|t| now.saturating_sub(t) >= self.seq_delay) =>
-                    {
-                        Some(seq.close(now, CloseKind::Age))
-                    }
-                    _ => None,
-                };
-                if let Some(closed) = closed {
-                    self.emit_closed(closed, now, out);
-                }
-            }
-            Msg::RoutingUpdate { partition, epoch } => {
-                let _aborted = self
-                    .coord
-                    .on_partition_failed(partition, epoch, &mut self.scratch);
-                if let Some(seq) = self.seq.as_mut() {
-                    // Membership changed: end the era. Buffered
-                    // invocations bounce to their clients for a retry in
-                    // the new era; the era-end marker tells every
-                    // partition where the old era's merge stops.
-                    let (marker, bounced) = seq.on_era_change();
-                    for dest in broadcast_dests(self.partitions, self.shards, self.id) {
-                        let (dest, msg) = match dest {
-                            EpochLogDest::Partition(p) => {
-                                (ActorId::Partition(p), Msg::EpochLog(marker.clone()))
-                            }
-                            EpochLogDest::Shard(k) => {
-                                (ActorId::Coordinator(k), Msg::EpochLog(marker.clone()))
-                            }
-                        };
-                        out.push(OutMsg { dest, msg });
-                    }
-                    for inv in bounced {
-                        out.push(OutMsg {
-                            dest: ActorId::Client(inv.client),
-                            msg: Msg::Result {
-                                txn: inv.txn,
-                                result: TxnResult::Aborted(AbortReason::PartitionFailed),
-                            },
-                        });
-                    }
-                }
-            }
-            Msg::DecisionAck { txn, partition } => {
-                self.coord
-                    .on_decision_ack(txn, partition, &mut self.scratch)
-            }
-            Msg::EpochLog(log) => {
-                let closed = match &mut self.seq {
-                    Some(seq) => seq.on_peer_log(&log, now),
-                    None => Vec::new(),
-                };
-                for c in closed {
-                    self.emit_closed(c, now, out);
-                }
-            }
-            Msg::PeerNote(note) => self.coord.on_peer_decision(note, &mut self.scratch),
-            _ => debug_assert!(false, "unexpected message at coordinator"),
-        }
-        let _ = self.coord.take_cpu();
+        };
+        // Live time is wall time: the modelled CPU charge is dropped.
+        let _ = self.node.step(input, now, &mut self.scratch);
         for o in self.scratch.drain(..) {
             push_coord_out(o, out);
         }
@@ -902,129 +703,47 @@ impl MembershipActor {
 
 /// The role a replica node currently plays; see the module docs.
 enum Role<E: ExecutionEngine> {
-    Primary {
-        sched: Box<dyn Scheduler<E> + Send>,
-        /// Commit-order log shipping state; `None` when replication is off.
-        session: Option<ReplicationSession<E::Fragment>>,
-        /// Slots this primary ships records to.
-        targets: Vec<u32>,
-        /// Per-backup acked watermark.
-        acks: AckTracker,
-        /// Committed single-partition results held until their commit
-        /// record is acked by every backup (paper §2.2), as
-        /// (required seq, client, txn, result).
-        held: VecDeque<(u64, ClientId, TxnId, TxnResult<E::Output>)>,
-        /// seq of each shipped-but-possibly-unacked record, for the hold
-        /// decision (pruned as the watermark advances).
-        shipped_seq: FxHashMap<TxnId, u64>,
-        /// Transactions this node applied during its backup past (empty
-        /// for an initial primary): the exactly-once guard that keeps a
-        /// re-delivered in-doubt commit from applying twice when its
-        /// record *did* reach the backups before the crash.
-        applied: hcc_common::FxHashSet<TxnId>,
-    },
-    Backup {
-        replica: ReplicaCore,
-    },
+    Primary(Box<PartitionNode<E>>),
+    Backup { replica: ReplicaCore, engine: E },
     Failed,
     Recovering,
-}
-
-/// Durable command-log state owned by a primary when
-/// `SystemConfig::durability` is on.
-///
-/// The primary appends one framed commit record per committed transaction
-/// and syncs in batches under the shared [`GroupCommit`] policy. Committed
-/// single-partition results park in `held` until their record's batch is
-/// durable; 2PC decision acks park in `pending_acks` the same way, which
-/// transitively parks the result the coordinator (or the locking client's
-/// driver) is holding for the transaction.
-struct Durability<E: ExecutionEngine> {
-    log: MemLog,
-    gc: GroupCommit,
-    /// Log seq of each appended-but-not-yet-released commit record.
-    logged_seq: FxHashMap<TxnId, u64>,
-    /// Committed single-partition results awaiting durability, in log-seq
-    /// order (commit order == append order, so pushes stay sorted).
-    held: VecDeque<(u64, ClientId, TxnId, TxnResult<E::Output>)>,
-    /// Deferred 2PC decision acks awaiting durability, in log-seq order.
-    pending_acks: VecDeque<(u64, TxnId, CoordinatorRef)>,
-    /// Stall-guard watermark: records at or below this seq belong to a
-    /// batch the guard abandoned — their transactions were bounced with
-    /// `LogStalled` (or their acks released undurable) and must not park
-    /// again when a late result shows up.
-    abandoned_below: u64,
-}
-
-impl<E: ExecutionEngine> Durability<E> {
-    fn new(cfg: DurabilityConfig) -> Self {
-        Durability {
-            log: MemLog::new(),
-            gc: GroupCommit::new(cfg),
-            logged_seq: FxHashMap::default(),
-            held: VecDeque::new(),
-            pending_acks: VecDeque::new(),
-            abandoned_below: 0,
-        }
-    }
 }
 
 /// What a replica thread/slot hands back at shutdown.
 pub struct ReplicaParts<E> {
     pub group: PartitionId,
     pub slot: u32,
-    pub engine: E,
+    /// The node's engine (`None` for a failed node that never rejoined).
+    pub engine: Option<E>,
     /// True if the node ended the run as the group's primary.
     pub is_primary: bool,
     /// True if the node ended the run as a live backup.
     pub is_backup: bool,
-    pub sched: SchedulerCounters,
-    pub repl: ReplicationCounters,
+    /// Counters accumulated across every role the node played.
+    pub stats: NodeStats,
     /// Framed bytes of the node's durable command log after a final clean
     /// sync (primary with durability on; `None` otherwise).
     pub log_image: Option<Vec<u8>>,
-    /// Durable-log counters (all zero when durability was off or the node
-    /// never served as a logging primary).
-    pub dur: DurabilityCounters,
-    /// Partition-side sequencer counters (all zero when sequencing was off
-    /// or the node never served as a primary).
-    pub seq: SequencerStats,
-    /// Adaptive scheme-selection statistics (all zero/empty when
-    /// `SystemConfig::adaptive` was off or the node never served as a
-    /// primary).
-    pub adaptive: AdaptiveStats,
 }
 
 /// One physical replica node (paper §2.3's single-threaded partition
-/// engine, §3.2's backup, or both over its lifetime).
+/// engine, §3.2's backup, or both over its lifetime): a message adapter
+/// over [`PartitionNode`] while primary, over [`ReplicaCore`] while backup.
 pub struct ReplicaActor<E: ExecutionEngine> {
     group: PartitionId,
     slot: u32,
     system: SystemConfig,
-    engine: E,
     role: Role<E>,
     epoch: u32,
     /// Crash after shipping this many commit records (fault injection;
     /// armed only on the initial primary of the failed group).
     crash_after: Option<u64>,
-    /// Durable command log + group-commit state (primary with durability
-    /// on; a node promoted mid-run starts a fresh log — the prefix it
-    /// applied as a backup is covered by the dead primary's log).
-    dur: Option<Durability<E>>,
-    outbox: Outbox<E::Output>,
-    scratch: Vec<PartitionOut<E::Output>>,
-    /// Scheduler counters accumulated across roles (a promoted node keeps
-    /// the counters of its backup past; a crashed primary keeps its own).
-    sched_counters: SchedulerCounters,
-    repl_counters: ReplicationCounters,
-    /// Epoch-merge admission gate (primary with sequencing on; a promoted
-    /// node starts a fresh, unsynced one).
-    seq: Option<PartitionSequencer<E::Fragment>>,
-    /// Sequencer counters of gates retired by a role change.
-    seq_retired: SequencerStats,
-    /// Adaptive stats of schedulers retired by a role change (a crashed
-    /// primary's switch history still happened).
-    adaptive_retired: AdaptiveStats,
+    /// Slots a primary ships its commit records to.
+    targets: Vec<u32>,
+    node_out: Vec<NodeOut<E::Fragment, E::Output>>,
+    /// Counters of roles this node no longer plays, plus its own
+    /// recovery and snapshot counters.
+    stats: NodeStats,
     /// Wall time of the most recent step, so `into_parts` can close the
     /// open scheme-residency segment at teardown.
     last_now: Nanos,
@@ -1046,28 +765,14 @@ where
         crash_after: Option<u64>,
     ) -> Self {
         let replicate = system.replication > 1;
-        let durable = system.durability.is_some();
         let role = if slot == 0 {
-            Role::Primary {
-                sched: make_scheduler_send::<E>(system, group),
-                // The session builds the commit records; the durable log
-                // needs them even with replication off.
-                session: (replicate || durable).then(ReplicationSession::new),
-                targets: (1..system.replication).collect(),
-                acks: {
-                    let mut a = AckTracker::new();
-                    for s in 1..system.replication {
-                        a.add_backup(s as usize, 0);
-                    }
-                    a
-                },
-                held: VecDeque::new(),
-                shipped_seq: FxHashMap::default(),
-                applied: hcc_common::FxHashSet::default(),
-            }
+            Role::Primary(Box::new(PartitionNode::new(
+                system, group, engine, replicate,
+            )))
         } else {
             Role::Backup {
                 replica: ReplicaCore::new(),
+                engine,
             }
         };
         debug_assert!(
@@ -1077,84 +782,51 @@ where
         ReplicaActor {
             group,
             slot,
-            seq: (slot == 0 && system.sequencing_active())
-                .then(|| PartitionSequencer::new(group, system.coordinators.max(1))),
             system: system.clone(),
-            engine,
             role,
             epoch: 0,
             crash_after,
-            dur: (slot == 0)
-                .then(|| system.durability.map(Durability::new))
-                .flatten(),
-            outbox: Outbox::new(system.costs),
-            scratch: Vec::new(),
-            sched_counters: SchedulerCounters::default(),
-            repl_counters: ReplicationCounters::default(),
-            seq_retired: SequencerStats::default(),
-            adaptive_retired: AdaptiveStats::default(),
+            targets: (1..system.replication).collect(),
+            node_out: Vec::new(),
+            stats: NodeStats::default(),
             last_now: Nanos::ZERO,
         }
     }
 
     pub fn into_parts(mut self) -> ReplicaParts<E> {
-        let (is_primary, is_backup) = match &self.role {
-            Role::Primary { sched, .. } => {
-                self.sched_counters.merge(&sched.counters());
-                if let Some(a) = sched.adaptive_stats(self.last_now) {
-                    self.adaptive_retired.merge(&a);
-                }
-                (true, false)
+        let mut log_image = None;
+        let (engine, is_primary, is_backup) = match self.role {
+            Role::Primary(mut node) => {
+                log_image = node.close_log();
+                self.stats.merge(&node.stats(self.last_now));
+                (Some((*node).into_engine()), true, false)
             }
-            Role::Backup { replica } => {
-                self.repl_counters.merge(&replica.counters);
-                (false, true)
+            Role::Backup { replica, engine } => {
+                self.stats.repl.merge(&replica.counters);
+                (Some(engine), false, true)
             }
-            Role::Failed | Role::Recovering => (false, false),
+            Role::Failed | Role::Recovering => (None, false, false),
         };
-        // Close the durable log cleanly: one final sync so the harvested
-        // image's durable prefix covers everything appended before
-        // shutdown (held results were all released during the run; this
-        // only settles the trailing partial batch).
-        let (log_image, dur) = match self.dur.take() {
-            Some(mut d) => {
-                if d.gc.pending() > 0 && d.log.sync().is_ok() {
-                    d.gc.on_synced();
-                }
-                (Some(d.log.full_image()), d.gc.counters)
-            }
-            None => (None, DurabilityCounters::default()),
-        };
-        let mut seq = self.seq_retired;
-        if let Some(gate) = &self.seq {
-            seq.merge(gate.stats());
-        }
         ReplicaParts {
             group: self.group,
             slot: self.slot,
-            engine: self.engine,
+            engine,
             is_primary,
             is_backup,
-            sched: self.sched_counters,
-            repl: self.repl_counters,
+            stats: self.stats,
             log_image,
-            dur,
-            seq,
-            adaptive: self.adaptive_retired,
         }
     }
 
-    /// Bounce one in-flight transaction with `PartitionFailed`: the
-    /// retryable "your participant's node just died" signal, addressed to
-    /// whoever is waiting on this node (the client for single-partition
-    /// work, the 2PC coordinator otherwise). The bounce shape itself is
-    /// shared with the simulator (`hcc_core::replica::failover_bounce`).
+    /// Bounce a fragment that reached a node which is not the primary with
+    /// `PartitionFailed`: the retryable "your participant's node just
+    /// died" signal, addressed to whoever is waiting on it.
     fn bounce(&mut self, task: &FragmentTask<E::Fragment>, out: &mut Vec<OutMsg<E>>) {
         let txn = task.txn;
         let Some(bounce) = failover_bounce(self.group, txn, std::slice::from_ref(task)) else {
             return;
         };
-        self.repl_counters.failover_bounces += 1;
+        self.stats.repl.failover_bounces += 1;
         out.push(match bounce {
             FailoverBounce::ToClient { client } => OutMsg {
                 dest: ActorId::Client(client),
@@ -1163,645 +835,119 @@ where
                     result: TxnResult::Aborted(AbortReason::PartitionFailed),
                 },
             },
-            FailoverBounce::ToCoordinator { dest, response } => match dest {
-                CoordinatorRef::Central(k) => OutMsg {
-                    dest: ActorId::Coordinator(k),
-                    msg: Msg::Response(response),
-                },
-                CoordinatorRef::Client(c) => OutMsg {
-                    dest: ActorId::Client(c),
-                    msg: Msg::FragResponse(response),
-                },
-            },
+            FailoverBounce::ToCoordinator { dest, response } => response_msg(dest, response),
         });
     }
 
-    /// Route a decision ack to whoever coordinated the transaction (a
-    /// central shard or, for client-driven 2PC, the client's driver).
-    fn emit_decision_ack(&self, txn: TxnId, ack_to: CoordinatorRef, out: &mut Vec<OutMsg<E>>) {
-        out.push(OutMsg {
-            dest: match ack_to {
-                CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-                CoordinatorRef::Client(c) => ActorId::Client(c),
-            },
-            msg: Msg::DecisionAck {
-                txn,
-                partition: self.group,
-            },
-        });
-    }
-
-    /// The injected crash: flush results whose records are already at the
-    /// backups, bounce everything still in flight, notify the coordinator
-    /// (the "failure detector"), and go dark.
-    fn crash(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let old = std::mem::replace(&mut self.role, Role::Failed);
-        let Role::Primary {
-            sched,
-            session,
-            held,
-            ..
-        } = old
-        else {
-            unreachable!("crash is armed only on a primary");
+    /// Route a node step's outputs, completing any requested log sync
+    /// inline (the live log's sync call is synchronous).
+    fn route_node_out(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+        let Role::Primary(node) = &mut self.role else {
+            unreachable!("only a primary steps a node")
         };
-        self.sched_counters.merge(&sched.counters());
-        if let Some(a) = sched.adaptive_stats(now) {
-            self.adaptive_retired.merge(&a);
-        }
-        // Held results are for transactions whose records the backups
-        // already have (only the ack round-trip was outstanding), so
-        // releasing them loses nothing and keeps clients from hanging.
-        for (_, client, txn, result) in held {
-            out.push(OutMsg {
-                dest: ActorId::Client(client),
-                msg: Msg::Result { txn, result },
-            });
-        }
-        if let Some(mut session) = session {
-            for (_txn, frags) in session.take_in_flight() {
-                if let Some(task) = frags.first() {
-                    self.bounce(task, out);
-                }
-            }
-        }
-        // The log dies with the node, but everything it was parking gates
-        // on records the backups already replayed (failure injection
-        // requires replication): release rather than lose them — a crashed
-        // primary falls back on replication as its durability story.
-        if let Some(mut dur) = self.dur.take() {
-            for (_, client, txn, result) in dur.held.drain(..) {
-                out.push(OutMsg {
-                    dest: ActorId::Client(client),
-                    msg: Msg::Result { txn, result },
-                });
-            }
-            for (_, txn, ack_to) in dur.pending_acks.drain(..) {
-                self.emit_decision_ack(txn, ack_to, out);
-            }
-        }
-        self.repl_counters.failed_at_ns = now.0;
-        out.push(OutMsg {
-            dest: ActorId::Membership,
-            msg: Msg::PrimaryFailed {
-                partition: self.group,
-            },
-        });
-    }
-
-    /// Primary-side: the transaction committed here — ship its commit
-    /// record to every backup, remember its seq for the hold decision, and
-    /// append it to the durable log.
-    fn ship_commit(&mut self, txn: TxnId, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let mut log_bytes: Option<Vec<u8>> = None;
-        {
-            let Role::Primary {
-                session: Some(session),
-                targets,
-                shipped_seq,
-                ..
-            } = &mut self.role
-            else {
-                return;
-            };
-            let Some(record) = session.on_commit(txn) else {
-                return;
-            };
-            if self.dur.is_some() {
-                log_bytes = Some(encode_to_vec(&record));
-            }
-            // Clone per extra backup; the last (commonly only) target moves
-            // the record — zero allocations on the k=1 hot path.
-            if let Some((&last, rest)) = targets.split_last() {
-                shipped_seq.insert(txn, record.seq);
-                self.repl_counters.records_shipped += 1;
-                for &slot in rest {
-                    out.push(OutMsg {
-                        dest: ActorId::Replica(self.group, slot),
-                        msg: Msg::Commit {
-                            from_slot: self.slot,
-                            record: record.clone(),
+        loop {
+            let mut sync = false;
+            for o in self.node_out.drain(..) {
+                match o {
+                    NodeOut::ToClient {
+                        client,
+                        txn,
+                        result,
+                    } => out.push(OutMsg {
+                        dest: ActorId::Client(client),
+                        msg: Msg::Result { txn, result },
+                    }),
+                    NodeOut::ToCoordinator { dest, response } => {
+                        out.push(response_msg(dest, response))
+                    }
+                    NodeOut::DecisionAck { dest, txn } => out.push(OutMsg {
+                        dest: match dest {
+                            CoordinatorRef::Central(k) => ActorId::Coordinator(k),
+                            CoordinatorRef::Client(c) => ActorId::Client(c),
                         },
-                    });
-                }
-                out.push(OutMsg {
-                    dest: ActorId::Replica(self.group, last),
-                    msg: Msg::Commit {
-                        from_slot: self.slot,
-                        record,
-                    },
-                });
-            }
-        }
-        if let Some(bytes) = log_bytes {
-            self.log_append(txn, &bytes, now, out);
-        }
-    }
-
-    /// Append a committed transaction's record to the durable log and run
-    /// the group-commit policy. An append *error* (injected write failure)
-    /// leaves the record without durability: the transaction already
-    /// committed in the engine, so it is released as if durability were
-    /// off — the sim's fault harness pins the stricter bounce semantics.
-    fn log_append(&mut self, txn: TxnId, bytes: &[u8], now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let Some(dur) = &mut self.dur else { return };
-        let Ok(seq) = dur.log.append(bytes) else {
-            return;
-        };
-        dur.logged_seq.insert(txn, seq);
-        if dur.gc.on_append(now) == FlushDecision::SyncNow {
-            self.sync_log(now, out);
-        }
-    }
-
-    /// Issue a log sync. In the live runtime the sync call is synchronous:
-    /// it either completes here — releasing everything its batch gated —
-    /// or fails (injected stall), in which case the batch stays pending
-    /// until the tick-driven stall guard gives up on it.
-    fn sync_log(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let Some(dur) = &mut self.dur else { return };
-        dur.gc.on_sync_issued(now);
-        if dur.log.sync().is_ok() {
-            dur.gc.on_synced();
-            self.release_durable(out);
-        }
-    }
-
-    /// Release parked results and deferred decision acks whose records are
-    /// under the log's durable watermark.
-    fn release_durable(&mut self, out: &mut Vec<OutMsg<E>>) {
-        let group = self.group;
-        let Some(dur) = &mut self.dur else { return };
-        let durable = dur.log.durable();
-        while let Some((seq, ..)) = dur.held.front() {
-            if *seq > durable {
-                break;
-            }
-            let (_, client, txn, result) = dur.held.pop_front().expect("checked front");
-            out.push(OutMsg {
-                dest: ActorId::Client(client),
-                msg: Msg::Result { txn, result },
-            });
-        }
-        while let Some((seq, ..)) = dur.pending_acks.front() {
-            if *seq > durable {
-                break;
-            }
-            let (_, txn, ack_to) = dur.pending_acks.pop_front().expect("checked front");
-            out.push(OutMsg {
-                dest: match ack_to {
-                    CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-                    CoordinatorRef::Client(c) => ActorId::Client(c),
-                },
-                msg: Msg::DecisionAck {
-                    txn,
-                    partition: group,
-                },
-            });
-        }
-    }
-
-    /// Final durability gate for a committed result on its way to the
-    /// client: deliver if its record is durable (or durability is off /
-    /// the append failed), park until the batch syncs, or — for records in
-    /// a batch the stall guard abandoned — bounce with the retryable
-    /// `LogStalled`.
-    fn deliver_result(
-        &mut self,
-        client: ClientId,
-        txn: TxnId,
-        mut result: TxnResult<E::Output>,
-        out: &mut Vec<OutMsg<E>>,
-    ) {
-        if result.is_committed() {
-            if let Some(dur) = &mut self.dur {
-                if let Some(seq) = dur.logged_seq.remove(&txn) {
-                    if seq > dur.log.durable() {
-                        if seq <= dur.abandoned_below {
-                            dur.gc.counters.stalled_aborts += 1;
-                            result = TxnResult::Aborted(AbortReason::LogStalled);
-                        } else {
-                            dur.gc.counters.results_held += 1;
-                            dur.held.push_back((seq, client, txn, result));
-                            return;
+                        msg: Msg::DecisionAck {
+                            txn,
+                            partition: self.group,
+                        },
+                    }),
+                    NodeOut::Ship(record) => {
+                        // Clone per extra backup; the last (commonly only)
+                        // target moves the record.
+                        if let Some((&last, rest)) = self.targets.split_last() {
+                            for &slot in rest {
+                                out.push(OutMsg {
+                                    dest: ActorId::Replica(self.group, slot),
+                                    msg: Msg::Commit {
+                                        from_slot: self.slot,
+                                        record: record.clone(),
+                                    },
+                                });
+                            }
+                            out.push(OutMsg {
+                                dest: ActorId::Replica(self.group, last),
+                                msg: Msg::Commit {
+                                    from_slot: self.slot,
+                                    record,
+                                },
+                            });
                         }
                     }
+                    NodeOut::Sync => sync = true,
                 }
             }
-        }
-        out.push(OutMsg {
-            dest: ActorId::Client(client),
-            msg: Msg::Result { txn, result },
-        });
-    }
-
-    /// Tick-driven log maintenance: flush a batch whose group-commit
-    /// interval elapsed, then fire the stall guard if the oldest unsynced
-    /// append blew past the sync deadline — bounce every parked result
-    /// with `LogStalled`, release the deferred acks (giving up durability
-    /// for those decisions rather than wedging 2PC), and wipe the batch
-    /// slate so the log can accept new work.
-    fn poll_log(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let flush = match &mut self.dur {
-            Some(dur) => dur.gc.poll(now) == FlushDecision::SyncNow,
-            None => return,
-        };
-        if flush {
-            self.sync_log(now, out);
-        }
-        let group = self.group;
-        let Some(dur) = &mut self.dur else { return };
-        if !dur.gc.stalled(now) {
-            return;
-        }
-        dur.abandoned_below = dur.log.appended();
-        let victims: Vec<_> = dur.held.drain(..).collect();
-        let acks: Vec<_> = dur.pending_acks.drain(..).collect();
-        dur.gc.on_stall_abort(victims.len() as u64);
-        for (_, client, txn, _) in victims {
-            out.push(OutMsg {
-                dest: ActorId::Client(client),
-                msg: Msg::Result {
-                    txn,
-                    result: TxnResult::Aborted(AbortReason::LogStalled),
-                },
-            });
-        }
-        for (_, txn, ack_to) in acks {
-            out.push(OutMsg {
-                dest: match ack_to {
-                    CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-                    CoordinatorRef::Client(c) => ActorId::Client(c),
-                },
-                msg: Msg::DecisionAck {
-                    txn,
-                    partition: group,
-                },
-            });
+            if !sync {
+                return;
+            }
+            let _ = node.step(PartitionIn::SyncDone, now, &mut self.node_out);
         }
     }
 
     pub fn step(&mut self, msg: Msg<E>, now: Nanos, ctl: &RunControl, out: &mut Vec<OutMsg<E>>) {
         self.last_now = now;
-        // Dispatch on a copy of the role discriminant so the arms are free
-        // to replace `self.role` (promotion, crash, rejoin).
-        enum Kind {
-            Primary,
-            Backup,
-            Failed,
-            Recovering,
-        }
-        let kind = match &self.role {
-            Role::Primary { .. } => Kind::Primary,
-            Role::Backup { .. } => Kind::Backup,
-            Role::Failed => Kind::Failed,
-            Role::Recovering => Kind::Recovering,
-        };
-        match kind {
-            Kind::Primary => self.step_primary(msg, now, out),
-            Kind::Backup => self.step_backup(msg, now, ctl, out),
-            Kind::Failed => match msg {
-                Msg::Fragment(task) => self.bounce(&task, out),
-                Msg::Rejoin {
-                    epoch,
-                    primary_slot,
-                } => {
-                    self.epoch = epoch;
-                    self.role = Role::Recovering;
-                    out.push(OutMsg {
-                        dest: ActorId::Replica(self.group, primary_slot),
-                        msg: Msg::FetchState {
-                            requester_slot: self.slot,
-                        },
-                    });
-                }
-                // Decisions, ticks, acks, stray commit records: a dead
-                // node drops them.
-                _ => {}
-            },
-            Kind::Recovering => match msg {
-                Msg::Fragment(task) => self.bounce(&task, out),
-                Msg::Snapshot { engine, seq } => {
-                    self.engine = *engine;
-                    let mut replica = ReplicaCore::new();
-                    replica.reset_to(seq);
-                    self.role = Role::Backup { replica };
-                    self.repl_counters.recoveries += 1;
-                    self.repl_counters.recovered_at_ns = now.0;
-                    ctl.recovery_done.store(true, Ordering::SeqCst);
-                }
-                _ => {}
-            },
-        }
-    }
-
-    /// Hand a fragment to the scheduler (recording it for replication
-    /// first) — the single admission point for direct, sequenced, and
-    /// log-released fragments.
-    fn admit_fragment(&mut self, task: FragmentTask<E::Fragment>, now: Nanos) {
-        if let Role::Primary {
-            session: Some(session),
-            ..
-        } = &mut self.role
-        {
-            session.record_fragment(&task);
-        }
-        let Role::Primary { sched, .. } = &mut self.role else {
-            unreachable!()
-        };
-        sched.on_fragment(task, &mut self.engine, now, &mut self.outbox);
-    }
-
-    fn step_primary(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        debug_assert!(self.outbox.messages.is_empty());
-        match msg {
-            Msg::Fragment(task) => {
-                // Exactly-once guard for in-doubt redelivery: if this
-                // (promoted) primary already applied the transaction as a
-                // backup — its commit record reached the group before the
-                // crash — executing it again would double-apply. Ack the
-                // commit directly instead.
-                if task.multi_partition {
-                    if let Role::Primary { applied, .. } = &self.role {
-                        if applied.contains(&task.txn) {
-                            if let CoordinatorRef::Central(k) = task.coordinator {
-                                out.push(OutMsg {
-                                    dest: ActorId::Coordinator(k),
-                                    msg: Msg::DecisionAck {
-                                        txn: task.txn,
-                                        partition: self.group,
-                                    },
-                                });
-                            }
-                            return;
+        match (&mut self.role, msg) {
+            (Role::Primary(node), msg) => {
+                let input = match msg {
+                    Msg::Fragment(task) => PartitionIn::Fragment(task),
+                    Msg::Decision(d, ack_to) => PartitionIn::Decision(d, ack_to),
+                    Msg::EpochLog(log) => PartitionIn::EpochLog(log),
+                    Msg::Tick => PartitionIn::Tick,
+                    Msg::CommitAck { slot, seq } => PartitionIn::CommitAck { slot, seq },
+                    Msg::FetchState { requester_slot } => {
+                        let seq = node.shipped();
+                        node.add_backup(requester_slot, seq);
+                        let engine = Box::new(node.engine().snapshot());
+                        if !self.targets.contains(&requester_slot) {
+                            self.targets.push(requester_slot);
                         }
+                        self.serve_snapshot(requester_slot, engine, seq, out);
+                        return;
                     }
-                }
-                // Sequencing gate: centrally coordinated MP round-0
-                // fragments dispatch in merged epoch order; a fragment
-                // ahead of its turn is held until its predecessors arrive.
-                if self.seq.is_some() && PartitionSequencer::gates(&task) {
-                    match self.seq.as_mut().expect("checked").on_mp_fragment(task) {
-                        Admit::Deliver(tasks) => {
-                            for t in tasks {
-                                self.admit_fragment(t, now);
-                            }
-                        }
-                        Admit::Held => {}
+                    // Already primary (the initial primary is never sent
+                    // this; defensive for re-deliveries).
+                    Msg::Promote { .. } => return,
+                    _ => {
+                        debug_assert!(false, "unexpected message at primary {}", self.group);
+                        return;
                     }
-                } else {
-                    self.admit_fragment(task, now);
-                }
-            }
-            Msg::EpochLog(log) => {
-                let released = match &mut self.seq {
-                    Some(seq) => seq.on_log(log),
-                    None => Vec::new(),
                 };
-                for t in released {
-                    self.admit_fragment(t, now);
-                }
-            }
-            Msg::Decision(d, ack_to) => {
-                if d.commit {
-                    self.ship_commit(d.txn, now, out);
-                } else if let Role::Primary {
-                    session: Some(session),
-                    ..
-                } = &mut self.role
-                {
-                    session.on_abort(d.txn);
-                }
-                let Role::Primary { sched, .. } = &mut self.role else {
-                    unreachable!()
+                // Live time is wall time: the modelled CPU charge is dropped.
+                let _ = node.step(input, now, &mut self.node_out);
+                self.route_node_out(now, out);
+                // Fault injection: die once the threshold-th record shipped.
+                let shipped = match &self.role {
+                    Role::Primary(node) => node.shipped(),
+                    _ => 0,
                 };
-                let strays_before = sched.counters().stray_decisions;
-                sched.on_decision(d, &mut self.engine, now, &mut self.outbox);
-                // Acknowledge a processed commit so the shard can drop it
-                // from the 2PC in-doubt window. A *stray* commit (a
-                // transaction that died with a crashed predecessor) must
-                // NOT be acked — acking it would falsely resolve the very
-                // window the redelivery machinery is about to close.
-                if let Some(ack_to) = ack_to {
-                    let clean = {
-                        let Role::Primary { sched, .. } = &self.role else {
-                            unreachable!()
-                        };
-                        d.commit && sched.counters().stray_decisions == strays_before
-                    };
-                    if clean {
-                        // With durability on, defer the ack until the
-                        // record's batch syncs — the coordinator (or the
-                        // locking client's driver) is holding the
-                        // committed result until every participant acks.
-                        let deferred = match &mut self.dur {
-                            Some(dur) => match dur.logged_seq.remove(&d.txn) {
-                                Some(seq)
-                                    if seq > dur.log.durable() && seq > dur.abandoned_below =>
-                                {
-                                    dur.pending_acks.push_back((seq, d.txn, ack_to));
-                                    true
-                                }
-                                _ => false,
-                            },
-                            None => false,
-                        };
-                        if !deferred {
-                            self.emit_decision_ack(d.txn, ack_to, out);
-                        }
-                    }
+                if self.crash_after.is_some_and(|t| shipped >= t) {
+                    self.crash_after = None;
+                    self.crash(now, out);
                 }
             }
-            Msg::Tick => {
-                {
-                    let Role::Primary { sched, .. } = &mut self.role else {
-                        unreachable!()
-                    };
-                    let _ = sched.on_tick(&mut self.engine, now, &mut self.outbox);
-                }
-                self.poll_log(now, out);
-            }
-            Msg::CommitAck { slot, seq } => {
-                let mut released = Vec::new();
-                {
-                    let Role::Primary {
-                        acks,
-                        held,
-                        shipped_seq,
-                        ..
-                    } = &mut self.role
-                    else {
-                        unreachable!()
-                    };
-                    acks.on_ack(slot as usize, seq);
-                    let watermark = acks.min_acked();
-                    while let Some((required, ..)) = held.front() {
-                        if *required > watermark {
-                            break;
-                        }
-                        let entry = held.pop_front().expect("checked front");
-                        released.push(entry);
-                    }
-                    shipped_seq.retain(|_, s| *s > watermark);
-                }
-                // A result clears the replication gate first, then the
-                // durability gate (it may park again until its batch
-                // syncs).
-                for (_, client, txn, result) in released {
-                    self.deliver_result(client, txn, result, out);
-                }
-                return; // pure bookkeeping: no scheduler outputs to drain
-            }
-            Msg::Promote { .. } => {
-                // Already primary (initial slot-0 primary is never sent
-                // this; defensive for re-deliveries).
-                return;
-            }
-            Msg::FetchState { requester_slot } => {
-                let seq = {
-                    let Role::Primary {
-                        session,
-                        targets,
-                        acks,
-                        ..
-                    } = &mut self.role
-                    else {
-                        unreachable!()
-                    };
-                    let seq = session.as_ref().map_or(0, |s| s.shipped());
-                    if !targets.contains(&requester_slot) {
-                        targets.push(requester_slot);
-                    }
-                    acks.add_backup(requester_slot as usize, seq);
-                    seq
-                };
-                self.repl_counters.snapshots_served += 1;
-                out.push(OutMsg {
-                    dest: ActorId::Replica(self.group, requester_slot),
-                    msg: Msg::Snapshot {
-                        engine: Box::new(self.engine.snapshot()),
-                        seq,
-                    },
-                });
-                return;
-            }
-            _ => {
-                debug_assert!(false, "unexpected message at primary {}", self.group);
-                return;
-            }
-        }
-        // Adaptive runs: a scheme swap may have completed inside the
-        // scheduler call above. Stamp it into the replication session
-        // *before* shipping this step's commit records, so the next
-        // shipped record carries the switch and a promoted backup resumes
-        // in the same scheme at the same point of the commit order.
-        if self.system.adaptive.is_on() {
-            let Role::Primary { sched, session, .. } = &mut self.role else {
-                unreachable!()
-            };
-            for note in sched.take_switch_notes() {
-                if let Some(session) = session {
-                    session.mark_scheme_switch(SchemeSwitch {
-                        epoch: note.epoch,
-                        scheme: note.scheme,
-                    });
-                }
-            }
-        }
-        // Drain the scheduler's outputs: ship records for freshly
-        // committed single-partition (and speculatively released)
-        // transactions, hold committed results that are not yet under the
-        // acked watermark, route the rest.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let _cpu = self.outbox.take_into(&mut scratch);
-        for m in scratch.drain(..) {
-            match m {
-                PartitionOut::ToClient {
-                    client,
-                    txn,
-                    result,
-                } => {
-                    if result.is_committed() {
-                        self.ship_commit(txn, now, out);
-                    } else if let Role::Primary {
-                        session: Some(session),
-                        ..
-                    } = &mut self.role
-                    {
-                        session.on_abort(txn);
-                    }
-                    // Replication gate first; a result under the acked
-                    // watermark still has to clear the durability gate.
-                    let repl_hold = {
-                        let Role::Primary {
-                            acks, shipped_seq, ..
-                        } = &self.role
-                        else {
-                            unreachable!()
-                        };
-                        shipped_seq
-                            .get(&txn)
-                            .copied()
-                            .filter(|&seq| seq > acks.min_acked())
-                    };
-                    match repl_hold {
-                        Some(seq) => {
-                            let Role::Primary { held, .. } = &mut self.role else {
-                                unreachable!()
-                            };
-                            held.push_back((seq, client, txn, result));
-                        }
-                        None => self.deliver_result(client, txn, result, out),
-                    }
-                }
-                PartitionOut::ToCoordinator { dest, response } => {
-                    let out_msg = match dest {
-                        CoordinatorRef::Central(k) => OutMsg {
-                            dest: ActorId::Coordinator(k),
-                            msg: Msg::Response(response),
-                        },
-                        CoordinatorRef::Client(c) => OutMsg {
-                            dest: ActorId::Client(c),
-                            msg: Msg::FragResponse(response),
-                        },
-                    };
-                    out.push(out_msg);
-                }
-            }
-        }
-        self.scratch = scratch;
-        // Fault injection: die once the threshold-th record has shipped.
-        if let Some(threshold) = self.crash_after {
-            let shipped = match &self.role {
-                Role::Primary {
-                    session: Some(session),
-                    ..
-                } => session.shipped(),
-                _ => 0,
-            };
-            if shipped >= threshold {
-                self.crash_after = None;
-                self.crash(now, out);
-            }
-        }
-    }
-
-    fn step_backup(
-        &mut self,
-        msg: Msg<E>,
-        _now: Nanos,
-        _ctl: &RunControl,
-        out: &mut Vec<OutMsg<E>>,
-    ) {
-        match msg {
-            Msg::Commit { from_slot, record } => {
-                let Role::Backup { replica } = &mut self.role else {
-                    unreachable!()
-                };
+            (Role::Backup { replica, engine }, Msg::Commit { from_slot, record }) => {
                 let seq = record.seq;
                 // Propagate, don't assert: a replay failure lands in the
                 // counters and fails the run's health checks.
-                let _ = replica.apply(&mut self.engine, &record);
+                let _ = replica.apply(engine, &record);
                 out.push(OutMsg {
                     dest: ActorId::Replica(self.group, from_slot),
                     msg: Msg::CommitAck {
@@ -1810,88 +956,129 @@ where
                     },
                 });
             }
-            Msg::Promote { epoch } => {
-                let Role::Backup { replica } = &mut self.role else {
+            (Role::Backup { .. }, Msg::Promote { epoch }) => {
+                let Role::Backup { replica, engine } =
+                    std::mem::replace(&mut self.role, Role::Recovering)
+                else {
                     unreachable!()
                 };
                 // Every record the dead primary shipped is already applied
                 // (it was queued ahead of this promotion on FIFO links);
-                // resume its log without a gap. The failed node becomes a
-                // ship target only once it rejoins (via FetchState).
-                self.repl_counters.merge(&replica.counters);
-                let applied = replica.take_applied_txns();
-                let watermark = replica.watermark();
-                // Adaptive runs: the commit log says which scheme was in
-                // force at the watermark; resume there so failover lands
-                // in the same scheme at the same transition epoch.
-                let resume = replica.scheme_switch();
-                let targets: Vec<u32> = (1..self.system.replication)
+                // surviving sibling backups hold the same prefix. The
+                // failed node becomes a ship target only once it rejoins
+                // (via FetchState).
+                self.targets = (1..self.system.replication)
                     .filter(|&s| s != self.slot)
                     .collect();
-                let mut acks = AckTracker::new();
-                for &s in &targets {
-                    // Surviving sibling backups hold the same record
-                    // prefix this node does.
-                    acks.add_backup(s as usize, watermark);
-                }
                 self.epoch = epoch;
-                self.repl_counters.promotions += 1;
-                self.role = Role::Primary {
-                    sched: make_scheduler_send_resumed::<E>(&self.system, self.group, resume),
-                    session: Some(ReplicationSession::resume_from(watermark)),
-                    targets,
-                    acks,
-                    held: VecDeque::new(),
-                    shipped_seq: FxHashMap::default(),
-                    applied,
-                };
-                // A promoted primary logs from here on into a fresh log;
-                // the prefix it applied as a backup lives in the dead
-                // node's log (correlated-crash recovery of a failed-over
-                // group needs both, which the harness does not exercise).
-                self.dur = self.system.durability.map(Durability::new);
-                // The dead primary's merge position and held fragments are
-                // lost with it: start unsynced and join the merge at the
-                // first complete post-failover era.
-                if self.system.sequencing_active() {
-                    let old = self.seq.replace(PartitionSequencer::promoted(
-                        self.group,
-                        self.system.coordinators.max(1),
-                    ));
-                    if let Some(old) = old {
-                        self.seq_retired.merge(old.stats());
-                    }
-                }
+                self.role = Role::Primary(Box::new(PartitionNode::promote(
+                    &self.system,
+                    self.group,
+                    engine,
+                    replica,
+                    self.targets.iter().copied(),
+                )));
             }
-            // A fragment can only arrive here through the membership flip
-            // racing ahead of the promotion, which the coordinator's
-            // emission order prevents; bounce defensively so the client
-            // retries rather than hangs.
-            Msg::Fragment(task) => self.bounce(&task, out),
-            // Late decisions/acks/ticks/epoch logs for a role this node no
-            // longer plays: drop. (An epoch log can only arrive here
-            // through the membership flip racing ahead of the promotion;
-            // the unsynced promoted gate passes the affected fragments
-            // through when they are redelivered.)
-            Msg::Decision(..) | Msg::CommitAck { .. } | Msg::Tick | Msg::EpochLog(_) => {}
-            Msg::FetchState { requester_slot } => {
+            (Role::Backup { replica, engine }, Msg::FetchState { requester_slot }) => {
                 // Serve a sibling's recovery from backup state (only the
                 // primary is asked in the current protocol, but the answer
                 // is just as correct from any live replica).
-                let Role::Backup { replica } = &self.role else {
-                    unreachable!()
-                };
                 let seq = replica.watermark();
-                self.repl_counters.snapshots_served += 1;
+                let engine = Box::new(engine.snapshot());
+                self.serve_snapshot(requester_slot, engine, seq, out);
+            }
+            // A fragment reaching a non-primary (a dead node, or a backup
+            // the membership flip raced ahead of its promotion) bounces so
+            // the client retries rather than hangs.
+            (_, Msg::Fragment(task)) => self.bounce(&task, out),
+            (
+                Role::Failed,
+                Msg::Rejoin {
+                    epoch,
+                    primary_slot,
+                },
+            ) => {
+                self.epoch = epoch;
+                self.role = Role::Recovering;
                 out.push(OutMsg {
-                    dest: ActorId::Replica(self.group, requester_slot),
-                    msg: Msg::Snapshot {
-                        engine: Box::new(self.engine.snapshot()),
-                        seq,
+                    dest: ActorId::Replica(self.group, primary_slot),
+                    msg: Msg::FetchState {
+                        requester_slot: self.slot,
                     },
                 });
             }
-            _ => debug_assert!(false, "unexpected message at backup {}", self.group),
+            (Role::Recovering, Msg::Snapshot { engine, seq }) => {
+                let mut replica = ReplicaCore::new();
+                replica.reset_to(seq);
+                self.role = Role::Backup {
+                    replica,
+                    engine: *engine,
+                };
+                self.stats.repl.recoveries += 1;
+                self.stats.repl.recovered_at_ns = now.0;
+                ctl.recovery_done.store(true, Ordering::SeqCst);
+            }
+            // Late decisions/acks/ticks/epoch logs for a role this node no
+            // longer plays: drop. (An epoch log can only reach a backup
+            // through the membership flip racing ahead of the promotion;
+            // the unsynced promoted gate passes the affected fragments
+            // through when they are redelivered.)
+            (
+                Role::Backup { .. },
+                Msg::Decision(..) | Msg::CommitAck { .. } | Msg::Tick | Msg::EpochLog(_),
+            )
+            | (Role::Failed | Role::Recovering, _) => {}
+            (Role::Backup { .. }, _) => {
+                debug_assert!(false, "unexpected message at backup {}", self.group)
+            }
         }
+    }
+
+    /// Send committed state as of log position `seq` to a recovering node
+    /// (§3.3). Records `> seq` follow on the same FIFO link.
+    fn serve_snapshot(&mut self, to_slot: u32, engine: Box<E>, seq: u64, out: &mut Vec<OutMsg<E>>) {
+        self.stats.repl.snapshots_served += 1;
+        out.push(OutMsg {
+            dest: ActorId::Replica(self.group, to_slot),
+            msg: Msg::Snapshot { engine, seq },
+        });
+    }
+
+    /// The injected crash: the node releases what its backups already
+    /// hold, bounces everything in flight, and goes dark; its last act is
+    /// telling the membership actor (the "failure detector").
+    fn crash(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+        let Role::Primary(node) = &mut self.role else {
+            unreachable!("crash is armed only on a primary");
+        };
+        node.crash(now, &mut self.node_out);
+        self.route_node_out(now, out);
+        let Role::Primary(node) = std::mem::replace(&mut self.role, Role::Failed) else {
+            unreachable!()
+        };
+        self.stats.merge(&node.stats(now));
+        out.push(OutMsg {
+            dest: ActorId::Membership,
+            msg: Msg::PrimaryFailed {
+                partition: self.group,
+            },
+        });
+    }
+}
+
+/// A fragment response for a central shard or a client's driver.
+fn response_msg<E: ExecutionEngine>(
+    dest: CoordinatorRef,
+    response: FragmentResponse<E::Output>,
+) -> OutMsg<E> {
+    match dest {
+        CoordinatorRef::Central(k) => OutMsg {
+            dest: ActorId::Coordinator(k),
+            msg: Msg::Response(response),
+        },
+        CoordinatorRef::Client(c) => OutMsg {
+            dest: ActorId::Client(c),
+            msg: Msg::FragResponse(response),
+        },
     }
 }

@@ -4,10 +4,14 @@
 //! The actor model mirrors the paper: one single-threaded execution engine
 //! per partition (§2.3), one central coordinator (§3.3), closed-loop
 //! clients (§5), and — when replication is enabled — one backup per
-//! partition applying committed transactions in commit order (§3.2). All
-//! of that protocol logic lives in [`actors`] as poll-driven state
-//! machines over the cores from `hcc-core`; a [`Backend`] decides how the
-//! actors get CPU:
+//! partition applying committed transactions in commit order (§3.2). The
+//! protocol logic is not here: a partition primary is an
+//! `hcc_core::PartitionNode` and a coordinator shard an
+//! `hcc_core::CoordinatorNode`, the same nodes the simulator drives. The
+//! [`actors`] are adapters that translate messages into node inputs, route
+//! node outputs, complete log syncs inline, drop the modelled CPU charge
+//! (live time is wall time) and inject the primary crash. A [`Backend`]
+//! decides how the actors get CPU:
 //!
 //! * [`threaded::ThreadedBackend`] — one OS thread per actor, parked on a
 //!   channel. Faithful to the paper's process model and fastest at small
@@ -49,7 +53,7 @@ use hcc_common::stats::{
 };
 use hcc_common::{FailurePlan, Nanos, PartitionId, SystemConfig};
 use hcc_core::client::ClientStats;
-use hcc_core::{ExecutionEngine, RequestGenerator};
+use hcc_core::{ExecutionEngine, NodeStats, RequestGenerator};
 use std::time::{Duration, Instant};
 
 /// Which backend drives the actors. Every runtime entry point takes one
@@ -291,45 +295,28 @@ pub(crate) fn now_ns(epoch: Instant) -> Nanos {
 }
 
 /// Sort the harvested replica nodes into the report shape: the primary
-/// engine per group, the live backups in (group, slot) order, and the
-/// merged counter blocks.
+/// engine per group, the live backups in (group, slot) order, the merged
+/// counters, and each group's durable log image.
 pub(crate) fn assemble_replicas<E: ExecutionEngine>(
     mut parts: Vec<ReplicaParts<E>>,
     groups: usize,
-) -> (
-    Vec<E>,
-    Vec<E>,
-    SchedulerCounters,
-    ReplicationCounters,
-    DurabilityCounters,
-    Vec<Option<Vec<u8>>>,
-    SequencerStats,
-    AdaptiveStats,
-) {
+) -> (Vec<E>, Vec<E>, NodeStats, Vec<Option<Vec<u8>>>) {
     parts.sort_by_key(|p| (p.group, p.slot));
-    let mut sched = SchedulerCounters::default();
-    let mut repl = ReplicationCounters::default();
-    let mut dur = DurabilityCounters::default();
-    let mut seq = SequencerStats::default();
-    let mut adaptive = AdaptiveStats::default();
+    let mut stats = NodeStats::default();
     let mut engines: Vec<Option<E>> = (0..groups).map(|_| None).collect();
     let mut logs: Vec<Option<Vec<u8>>> = (0..groups).map(|_| None).collect();
     let mut backups = Vec::new();
     for part in parts {
-        sched.merge(&part.sched);
-        repl.merge(&part.repl);
-        dur.merge(&part.dur);
-        seq.merge(&part.seq);
-        adaptive.merge(&part.adaptive);
+        stats.merge(&part.stats);
         if part.is_primary {
             let slot = engines
                 .get_mut(part.group.as_usize())
                 .expect("group in range");
             debug_assert!(slot.is_none(), "two primaries in one group");
-            *slot = Some(part.engine);
+            *slot = part.engine;
             logs[part.group.as_usize()] = part.log_image;
         } else if part.is_backup {
-            backups.push(part.engine);
+            backups.extend(part.engine);
         }
         // Failed/recovering nodes that never finished rejoining (possible
         // only when a timed run is torn down mid-recovery) hold stale
@@ -339,7 +326,7 @@ pub(crate) fn assemble_replicas<E: ExecutionEngine>(
         .into_iter()
         .map(|e| e.expect("every group has a primary"))
         .collect();
-    (engines, backups, sched, repl, dur, logs, seq, adaptive)
+    (engines, backups, stats, logs)
 }
 
 /// Finish a report from the pieces every backend harvests.
@@ -349,15 +336,11 @@ pub(crate) fn finish_report<E: ExecutionEngine>(
     committed_in_window: u64,
     elapsed: Duration,
     clients: ClientStats,
-    sched: SchedulerCounters,
-    replication: ReplicationCounters,
+    stats: NodeStats,
     engines: Vec<E>,
     backups: Vec<E>,
-    durability: DurabilityCounters,
     logs: Vec<Option<Vec<u8>>>,
     workers: Vec<WorkerStats>,
-    sequencer: SequencerStats,
-    adaptive: AdaptiveStats,
 ) -> RuntimeReport<E> {
     let (committed, secs) = match mode {
         RunMode::Timed { measure, .. } => (committed_in_window, measure.as_secs_f64()),
@@ -367,15 +350,15 @@ pub(crate) fn finish_report<E: ExecutionEngine>(
         committed,
         throughput_tps: committed as f64 / secs,
         clients,
-        sched,
-        replication,
+        sched: stats.sched,
+        replication: stats.repl,
         engines,
         backups,
-        durability,
+        durability: stats.dur,
         logs,
         workers,
-        sequencer,
-        adaptive,
+        sequencer: stats.seq,
+        adaptive: stats.adaptive,
     }
 }
 

@@ -449,18 +449,11 @@ impl Backend for MultiplexedBackend {
         let shards = system.coordinators.max(1) as usize;
         let track_in_doubt = cfg.failure.is_some();
         let seq_on = system.sequencing_active();
-        let coord_expiry = (shards > 1 && !seq_on).then_some(system.lock_timeout);
+        let mut tick_coords = false;
         for k in 0..shards {
-            let mut coord: CoordinatorActor<W::Engine> = CoordinatorActor::new(
-                system.costs,
-                CoordinatorId(k as u32),
-                track_in_doubt,
-                system.durability.is_some(),
-                coord_expiry,
-            );
-            if seq_on {
-                coord.enable_sequencing(system);
-            }
+            let coord: CoordinatorActor<W::Engine> =
+                CoordinatorActor::new(system, CoordinatorId(k as u32), track_in_doubt);
+            tick_coords |= coord.wants_ticks();
             actors.push(CachePadded::new(Mutex::new(AnyActor::Coordinator(
                 Box::new(coord),
             ))));
@@ -526,8 +519,6 @@ impl Backend for MultiplexedBackend {
         let tick_partitions = system.scheme == Scheme::Locking
             || system.adaptive.is_on()
             || system.durability.is_some();
-        // Sequencing coordinators tick too: epoch age-closes ride Tick.
-        let tick_coords = shards > 1 || seq_on;
         // Clients park during backoff retries (infrastructure aborts) and
         // need a wake-up tick; only configurations that can produce such
         // aborts pay for the ticking — and only while at least one client
@@ -649,24 +640,19 @@ impl Backend for MultiplexedBackend {
                 AnyActor::Replica(r) => parts.push(r.into_parts()),
             }
         }
-        let (engines, backups, sched, repl, dur, logs, part_seq, adaptive) =
-            assemble_replicas(parts, n);
-        sequencer.merge(&part_seq);
+        let (engines, backups, mut stats, logs) = assemble_replicas(parts, n);
+        stats.seq.merge(&sequencer);
 
         finish_report(
             &cfg.mode,
             committed_in_window,
             elapsed,
             clients_stats,
-            sched,
-            repl,
+            stats,
             engines,
             backups,
-            dur,
             logs,
             worker_stats,
-            sequencer,
-            adaptive,
         )
     }
 }

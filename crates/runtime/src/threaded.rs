@@ -216,19 +216,10 @@ impl Backend for ThreadedBackend {
         // (also tick-driven).
         let track_in_doubt = cfg.failure.is_some();
         let seq_on = system.sequencing_active();
-        let coord_expiry = (shards > 1 && !seq_on).then_some(system.lock_timeout);
         let mut coord_handles = Vec::new();
         for (k, rx) in coord_rxs.into_iter().enumerate() {
-            let mut actor: CoordinatorActor<E<W>> = CoordinatorActor::new(
-                system.costs,
-                CoordinatorId(k as u32),
-                track_in_doubt,
-                system.durability.is_some(),
-                coord_expiry,
-            );
-            if seq_on {
-                actor.enable_sequencing(system);
-            }
+            let mut actor: CoordinatorActor<E<W>> =
+                CoordinatorActor::new(system, CoordinatorId(k as u32), track_in_doubt);
             let router = router.clone();
             let mut tick_nanos = system.lock_timeout.0 / 4;
             if seq_on {
@@ -237,7 +228,7 @@ impl Backend for ThreadedBackend {
                 tick_nanos = tick_nanos.min(system.sequencing.max_delay().0 / 2);
             }
             let tick_every = Duration::from_nanos(tick_nanos.max(50_000));
-            let ticks = coord_expiry.is_some() || seq_on;
+            let ticks = actor.wants_ticks();
             coord_handles.push(std::thread::spawn(move || {
                 let mut buf = Vec::new();
                 loop {
@@ -385,24 +376,19 @@ impl Backend for ThreadedBackend {
                 parts.push(h.join().expect("replica thread"));
             }
         }
-        let (engines, backups, sched, repl, dur, logs, part_seq, adaptive) =
-            assemble_replicas(parts, n);
-        sequencer.merge(&part_seq);
+        let (engines, backups, mut stats, logs) = assemble_replicas(parts, n);
+        stats.seq.merge(&sequencer);
 
         finish_report(
             &cfg.mode,
             committed_in_window,
             elapsed,
             clients,
-            sched,
-            repl,
+            stats,
             engines,
             backups,
-            dur,
             logs,
             Vec::new(),
-            sequencer,
-            adaptive,
         )
     }
 }

@@ -1,55 +1,8 @@
 //! Event queue plumbing.
 
-use hcc_common::{
-    ClientId, CoordinatorId, CoordinatorRef, Decision, FragmentResponse, FragmentTask, Nanos,
-    PartitionId, Scheme, TxnId,
-};
-use hcc_core::coordinator::PeerNote;
-use hcc_core::{EpochLog, ExecutionEngine, Procedure};
+use hcc_common::{ClientId, CoordinatorId, FragmentResponse, Nanos, PartitionId, TxnId};
+use hcc_core::{CoordIn, ExecutionEngine, PartitionIn};
 use std::cmp::Ordering;
-
-/// A message delivered to a partition. The decision's second field is the
-/// coordinator (central shard or client driver) expecting an ack for a
-/// processed commit (in-doubt tracking / durable release; `None`
-/// otherwise).
-pub enum PartIn<F> {
-    Fragment(FragmentTask<F>),
-    Decision(Decision, Option<CoordinatorRef>),
-    /// A closed sequencing epoch log from a coordinator shard (sequencing
-    /// runs only).
-    EpochLog(EpochLog),
-}
-
-/// A message delivered to one central coordinator shard.
-pub enum CoordIn<E: ExecutionEngine> {
-    Invoke {
-        txn: TxnId,
-        client: ClientId,
-        procedure: Box<dyn Procedure<E::Fragment, E::Output>>,
-        can_abort: bool,
-    },
-    Response(FragmentResponse<E::Output>),
-    /// Periodic maintenance: expire transactions stalled on a failed
-    /// participant.
-    Tick,
-    /// The control plane reported a failover: the partition now answers to
-    /// a promoted backup under this epoch. Abort in-flight transactions
-    /// touching it; re-deliver unacknowledged commits.
-    RoutingUpdate {
-        partition: PartitionId,
-        epoch: u32,
-    },
-    /// A partition processed a commit decision (in-doubt tracking).
-    DecisionAck {
-        txn: TxnId,
-        partition: PartitionId,
-    },
-    /// A peer shard closed a sequencing epoch (cascade-close input).
-    EpochLog(EpochLog),
-    /// A peer shard decided one of its transactions (cross-shard
-    /// dependency settling under sequencing).
-    PeerNote(PeerNote),
-}
 
 /// A message delivered to a client.
 pub enum ClientIn<R> {
@@ -61,71 +14,40 @@ pub enum ClientIn<R> {
     },
     /// A fragment response for a client-coordinated transaction (locking).
     FragResponse(FragmentResponse<R>),
+    /// A participant durably processed the commit decision of a
+    /// client-coordinated transaction.
+    DecisionAck { txn: TxnId, partition: PartitionId },
 }
 
 /// Everything that can happen in the simulation.
 pub enum Ev<E: ExecutionEngine> {
     ToPartition {
         p: PartitionId,
-        msg: PartIn<E::Fragment>,
+        msg: PartitionIn<E::Fragment>,
     },
     ToCoordinator {
         k: CoordinatorId,
-        msg: CoordIn<E>,
+        msg: CoordIn<E::Fragment, E::Output>,
     },
     ToClient {
         c: ClientId,
         msg: ClientIn<E::Output>,
     },
-    /// Scheduler maintenance (lock-wait timeout scan).
-    Tick {
-        p: PartitionId,
-    },
-    /// Group-commit flush deadline for partition `p`'s durable log: the
-    /// oldest unsynced record has waited a full group-commit interval.
-    SyncDue {
-        p: PartitionId,
-    },
-    /// A previously issued log sync for partition `p` completes
-    /// (`DurabilityConfig::sync_latency` after it was issued).
-    SyncDone {
-        p: PartitionId,
-    },
-    /// Stall-guard check: if partition `p`'s oldest unsynced append is
-    /// still not durable past the sync deadline, the in-flight batch is
-    /// aborted with `LogStalled`.
-    StallCheck {
-        p: PartitionId,
-    },
+    /// Scheduler maintenance (lock-wait timeout scan) for partition `p`.
+    Tick { p: PartitionId },
+    /// Durable-log maintenance for partition `p`: its group-commit flush
+    /// deadline or stall deadline is due.
+    LogTick { p: PartitionId },
     /// Sequencing age-boundary check for shard `k`: close its open epoch
     /// if the oldest buffered invocation has waited `max_delay`. One-shot:
     /// armed when a shard's buffer becomes non-empty, disarmed (by the
     /// per-shard `flush_at` guard) when the epoch closes earlier for
     /// another reason.
-    EpochClose {
-        k: CoordinatorId,
-    },
-    /// Observational marker (adaptive runs): partition `p` completed a
-    /// live scheme swap at this point of the event stream. Handling it is
-    /// a no-op — its purpose is to make switch points part of the totally
-    /// ordered, deterministic event sequence, so two runs that switch at
-    /// different times cannot silently interleave the same way.
-    // The fields exist to be *carried* (they shape heap identity and
-    // debug output), not to be read by the dispatch no-op.
-    #[allow(dead_code)]
-    SchemeSwitch {
-        p: PartitionId,
-        epoch: u32,
-        scheme: Scheme,
-    },
+    EpochClose { k: CoordinatorId },
     /// Failover injection: kill p's primary and promote its replica.
-    Kill {
-        p: PartitionId,
-    },
+    Kill { p: PartitionId },
     /// The killed node rejoins from a snapshot of the live replica (§3.3).
-    Rejoin {
-        p: PartitionId,
-    },
+    Rejoin { p: PartitionId },
     /// Several deliveries sharing one arrival time, dispatched in order.
     ///
     /// One handler invocation often emits a burst of messages that all

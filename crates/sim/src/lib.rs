@@ -8,6 +8,13 @@
 //! TPC-C consistency) are checked on exactly the code the benchmarks
 //! measure.
 //!
+//! The simulator is an adapter: every partition is an
+//! `hcc_core::PartitionNode` and every coordinator shard an
+//! `hcc_core::CoordinatorNode`, the same nodes the live runtime drives.
+//! The simulator supplies virtual time, routes their outputs, models a log
+//! sync as `DurabilityConfig::sync_latency` and a backup ack as one
+//! network round trip, and triggers faults.
+//!
 //! Time accounting: each actor has a busy-until clock. A message delivered
 //! at `t` starts processing at `max(t, busy)`; the handler's virtual CPU
 //! (from the calibrated [`hcc_common::CostModel`]) advances the clock, and
