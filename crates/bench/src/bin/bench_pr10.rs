@@ -17,8 +17,8 @@
 //!    pinned scheme, with per-scheme residency and quiesce-stall
 //!    quantiles — the headline "no single pinned scheme is right"
 //!    number (adaptive must beat every pin).
-//! 4. **Live fixed-work phased runs** (full mode only): the same
-//!    schedule on both host backends, proving live swaps work outside
+//! 4. **Live fixed-work phased run** (full mode only): the same schedule
+//!    on the live runtime's 4-worker pool, proving live swaps work outside
 //!    virtual time.
 //!
 //! Usage:
@@ -482,20 +482,15 @@ fn main() {
         );
         rows.push(adaptive);
 
-        // 4. Live fixed-work phased runs on both backends: the swap
-        //    machinery must fire outside virtual time too.
-        for backend in [
-            BackendChoice::Threaded,
-            BackendChoice::Multiplexed { workers: 4 },
-        ] {
-            let live = live_fixed_work_point(backend);
-            assert!(
-                live.switches >= 1,
-                "{}: live runtime never switched on the phased schedule",
-                live.workload
-            );
-            rows.push(live);
-        }
+        // 4. Live fixed-work phased run: the swap machinery must fire
+        //    outside virtual time too.
+        let live = live_fixed_work_point(BackendChoice::Multiplexed { workers: 4 });
+        assert!(
+            live.switches >= 1,
+            "{}: live runtime never switched on the phased schedule",
+            live.workload
+        );
+        rows.push(live);
     }
 
     table(&rows);

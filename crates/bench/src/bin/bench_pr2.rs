@@ -1,10 +1,9 @@
-//! PR 2 bench harness: the two runtime backends, head to head.
+//! PR 2 bench harness: the runtime under a growing client count.
 //!
 //! Sweeps closed-loop client counts (8 → 1024) over the microbenchmark
-//! and the full-mix TPC-C workload, on the thread-per-actor and the
-//! multiplexed (4-worker reactor) backends, and reports throughput plus
-//! p50/p99/p999 commit latency per backend × scheme. Writes the full
-//! matrix to `BENCH_PR2.json`.
+//! and the full-mix TPC-C workload on a 4-worker pool, and reports
+//! throughput plus p50/p99/p999 commit latency per scheme. Writes the
+//! full matrix to `BENCH_PR2.json`.
 //!
 //! Usage:
 //!   cargo run --release -p hcc-bench --bin bench_pr2            # full matrix
@@ -215,19 +214,12 @@ fn main() {
             (Duration::from_millis(100), Duration::from_millis(400)),
         )
     };
-    let backends = [
-        BackendChoice::Threaded,
-        BackendChoice::Multiplexed { workers: 4 },
-    ];
-    let schemes = [Scheme::Speculative, Scheme::Locking];
-
+    let backend = BackendChoice::Multiplexed { workers: 4 };
     let mut rows = Vec::new();
     for &clients in client_counts {
-        for scheme in schemes {
-            for backend in backends {
-                rows.push(run_micro(scheme, backend, clients, window));
-                rows.push(run_tpcc(scheme, backend, clients, window));
-            }
+        for scheme in [Scheme::Speculative, Scheme::Locking] {
+            rows.push(run_micro(scheme, backend, clients, window));
+            rows.push(run_tpcc(scheme, backend, clients, window));
         }
     }
     table(&rows);

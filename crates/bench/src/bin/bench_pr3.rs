@@ -4,8 +4,8 @@
 //!
 //! 1. **What does replication cost?** Throughput + tail latency for
 //!    k = 0/1/2 backups per partition (replication factor 1/2/3), on the
-//!    microbenchmark and the YCSB read-mostly Zipfian workload, on both
-//!    backends. With k ≥ 1 every committed single-partition result is
+//!    microbenchmark and the YCSB read-mostly Zipfian workload, on a
+//!    4-worker pool. With k ≥ 1 every committed single-partition result is
 //!    held until its commit record is acked by all backups (§2.2), so the
 //!    overhead shows up in latency as well as throughput.
 //! 2. **How fast is failover + §3.3 recovery?** Kill a primary after a
@@ -178,8 +178,8 @@ fn failover_run(backups: u32, after_commits: u64) -> FailoverRow {
     }
 }
 
-/// The CI failure-injection smoke (gating): kill one primary mid-run under
-/// the multiplexed backend; the run must converge AND — because the
+/// The CI failure-injection smoke (gating): kill one primary mid-run on a
+/// 4-worker pool; the run must converge AND — because the
 /// workload is single-partition-only with commutative updates — finish
 /// with committed state bit-identical to a run with no failure at all.
 fn failover_smoke() {
@@ -335,17 +335,11 @@ fn main() {
             &[0, 1, 2],
         )
     };
-    let backends = [
-        BackendChoice::Threaded,
-        BackendChoice::Multiplexed { workers: 4 },
-    ];
-
+    let backend = BackendChoice::Multiplexed { workers: 4 };
     let mut rows = Vec::new();
-    for backend in backends {
-        for &k in k_values {
-            rows.push(micro_overhead(backend, k, clients, window));
-            rows.push(ycsb_overhead(backend, k, clients, window));
-        }
+    for &k in k_values {
+        rows.push(micro_overhead(backend, k, clients, window));
+        rows.push(ycsb_overhead(backend, k, clients, window));
     }
     let failovers: Vec<FailoverRow> = if smoke {
         vec![failover_run(1, 100)]

@@ -172,12 +172,12 @@ fn tpcc_stress_point(coordinators: u32, clients: u32, window: (Duration, Duratio
     }
 }
 
-/// Gating: with N = 2 shards the backends still agree bit-for-bit, and a
+/// Gating: with N = 2 shards one worker and four still agree bit-for-bit, and a
 /// failover with sharded coordinators converges AND preserves every
 /// in-doubt commit (final state identical to a no-failure run — the
 /// closed 2PC window, exercised end-to-end).
 fn multi_coord_smoke() {
-    // Cross-backend equivalence at N = 2 (fixed work).
+    // Pool-size equivalence at N = 2 (fixed work).
     let fingerprints = |backend: BackendChoice| {
         let micro = MicroConfig {
             partitions: 2,
@@ -203,11 +203,11 @@ fn multi_coord_smoke() {
             .map(|e| e.fingerprint())
             .collect::<Vec<_>>()
     };
-    let threaded = fingerprints(BackendChoice::Threaded);
-    let multiplexed = fingerprints(BackendChoice::Multiplexed { workers: 4 });
+    let one = fingerprints(BackendChoice::Multiplexed { workers: 1 });
+    let pool = fingerprints(BackendChoice::Multiplexed { workers: 4 });
     assert_eq!(
-        threaded, multiplexed,
-        "N=2 shards: backends disagree on committed state"
+        one, pool,
+        "N=2 shards: pool sizes disagree on committed state"
     );
 
     // Failover with N = 2 shards and multi-partition traffic: the run must
@@ -260,7 +260,7 @@ fn multi_coord_smoke() {
         );
     }
     println!(
-        "multi-coord smoke passed: N=2 backends bit-identical; failover with 2 shards \
+        "multi-coord smoke passed: N=2 pool sizes bit-identical; failover with 2 shards \
          converged in {:.2} ms with state identical to the no-failure run.",
         failed
             .replication

@@ -336,10 +336,10 @@ fn assert_sequencing_unlocks_unaligned(rows: &[SimRow]) {
     );
 }
 
-/// Cross-backend fingerprint gate for the smoke tier: a sequenced
-/// unaligned fixed-work run must commit bit-identical state on both
-/// backends.
-fn assert_backends_agree_sequenced() {
+/// Pool-size fingerprint gate for the smoke tier: a sequenced unaligned
+/// fixed-work run must commit bit-identical state on one worker and on
+/// four.
+fn assert_pool_sizes_agree_sequenced() {
     let fingerprints = |backend: BackendChoice| {
         let micro = MicroConfig {
             partitions: 4,
@@ -370,11 +370,11 @@ fn assert_backends_agree_sequenced() {
             .map(|e| e.fingerprint())
             .collect::<Vec<_>>()
     };
-    let threaded = fingerprints(BackendChoice::Threaded);
-    let multiplexed = fingerprints(BackendChoice::Multiplexed { workers: 4 });
+    let one = fingerprints(BackendChoice::Multiplexed { workers: 1 });
+    let pool = fingerprints(BackendChoice::Multiplexed { workers: 4 });
     assert_eq!(
-        threaded, multiplexed,
-        "sequenced run: backends disagree on committed state"
+        one, pool,
+        "sequenced run: pool sizes disagree on committed state"
     );
 }
 
@@ -526,7 +526,7 @@ fn main() {
         }
     }
     assert_sequencing_unlocks_unaligned(&sim_rows);
-    assert_backends_agree_sequenced();
+    assert_pool_sizes_agree_sequenced();
 
     let mut live_rows = Vec::new();
     if !smoke {
@@ -554,7 +554,7 @@ fn main() {
         println!("\n{out}");
         println!(
             "sequencing smoke passed in {:.1}s: unaligned 4-shard ≥2× off-baseline, \
-             zero CrossCoordinator aborts, SP within 5%, backends bit-identical.",
+             zero CrossCoordinator aborts, SP within 5%, pool sizes bit-identical.",
             wall.as_secs_f64()
         );
     } else {

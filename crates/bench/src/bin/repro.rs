@@ -1,39 +1,55 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <fig4|...|fig10|table1|table2|ablation|all> [--fast] [--out DIR]
+//! repro [fig4|...|fig10|table1|table2|ablation|all] [--fast] [--out DIR]
 //! ```
 //!
-//! Figures are printed as ASCII charts and written as CSV under `--out`
-//! (default `results/`).
+//! The default target is `all` at paper-length windows; `--fast` shortens
+//! every run. Figures are printed as ASCII charts and written as CSV under
+//! `--out` (default `results/`).
 
 use hcc_bench::{figures, plot, tables, Effort, Figure};
 use std::path::PathBuf;
 use std::time::Instant;
 
+const TARGETS: [&str; 11] = [
+    "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table1", "table2", "ablation", "all",
+];
+
+/// The target (default `all`), the effort (`--fast` or the paper-length
+/// default) and the output directory. Anything else is an error naming
+/// the argument.
+fn parse_args(args: &[String]) -> Result<(&str, Effort, PathBuf), String> {
+    let mut what = None;
+    let mut effort = Effort::Full;
+    let mut out_dir = PathBuf::from("results");
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--fast" => effort = Effort::Fast,
+            "--out" => out_dir = it.next().ok_or("--out needs a directory")?.into(),
+            t if TARGETS.contains(&t) => {
+                if let Some(first) = what.replace(t) {
+                    return Err(format!("two targets given: {first:?} and {t:?}"));
+                }
+            }
+            _ => {
+                return Err(format!(
+                    "unknown argument {a:?} (usage: repro [{}] [--fast] [--out DIR])",
+                    TARGETS.join("|")
+                ))
+            }
+        }
+    }
+    Ok((what.unwrap_or("all"), effort, out_dir))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let effort = if fast { Effort::Fast } else { Effort::Full };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let what = args
-        .iter()
-        .find(|a| {
-            !a.starts_with("--")
-                && Some(a.as_str())
-                    != args
-                        .iter()
-                        .position(|x| x == "--out")
-                        .and_then(|i| args.get(i + 1))
-                        .map(|s| s.as_str())
-        })
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let (what, effort, out_dir) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
 
     let run_figure = |f: fn(Effort) -> Figure| {
         let t0 = Instant::now();

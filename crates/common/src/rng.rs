@@ -69,7 +69,7 @@ impl SplitMix64 {
 /// `theta` in `[0, 1)`: 0 is uniform, YCSB's default skew is 0.99. All the
 /// state is precomputed at construction (the zeta sums are O(n)), so
 /// sampling is O(1) and fully deterministic given the caller's
-/// [`SplitMix64`] stream — the property the cross-backend equivalence
+/// [`SplitMix64`] stream — the property the pool-size equivalence
 /// tests rely on.
 #[derive(Debug, Clone)]
 pub struct Zipfian {

@@ -1,4 +1,4 @@
-//! Client-side request lifecycle, shared by the simulator and the threaded
+//! Client-side request lifecycle, shared by the simulator and the live
 //! runtime.
 //!
 //! Clients are closed-loop (paper §5): issue one request, wait for its

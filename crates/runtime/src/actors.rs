@@ -1,13 +1,12 @@
-//! Backend-agnostic, poll-driven actor state machines.
+//! Poll-driven actor state machines.
 //!
 //! The runtime is three kinds of actor — clients, the central coordinator,
 //! and replicas — wrapped around the runtime-agnostic cores from
 //! `hcc-core`. Every actor exposes a non-blocking
 //! [`step`](ReplicaActor::step): consume one message, emit any number of
 //! [`OutMsg`]s. Nothing here blocks, sleeps, or spawns; *how* messages
-//! move between actors is entirely the backend's business
-//! ([`crate::threaded`] parks one OS thread per actor on a channel,
-//! [`crate::multiplexed`] drives every actor from a small worker pool).
+//! move between actors is the business of [`crate::multiplexed`], which
+//! drives every actor from a small worker pool.
 //!
 //! # Replica groups, failover, recovery
 //!
@@ -39,7 +38,7 @@
 //! The membership authority is the dedicated control-plane
 //! [`MembershipActor`] (wrapping `hcc_core::MembershipCore`): on
 //! `PrimaryFailed` it bumps the group's epoch, promotes the first backup,
-//! flips the backends' routing table (via a [`ActorId::Control`] message),
+//! flips the driver's routing table (via a [`ActorId::Control`] message),
 //! tells the dead node to rejoin, and fans an epoch-stamped
 //! [`Msg::RoutingUpdate`] out to **every coordinator shard**, each of
 //! which aborts its own in-flight transactions touching the dead node.
@@ -91,13 +90,13 @@ pub enum ActorId {
     /// A physical replica node: (group, slot). Slot 0 is the initial
     /// primary, slots `1..replication` the initial backups.
     Replica(PartitionId, u32),
-    /// Backend-internal control channel: the router interprets the
+    /// Driver-internal control channel: the router interprets the
     /// message (membership flip) instead of delivering it to an actor.
     Control,
 }
 
-/// Every message the runtime actors exchange, in one enum so backends
-/// route a single type. Which variants an actor accepts is part of its
+/// Every message the runtime actors exchange, in one enum so the driver
+/// routes a single type. Which variants an actor accepts is part of its
 /// `step` contract (a misrouted message is a driver bug, not a protocol
 /// state).
 pub enum Msg<E: ExecutionEngine> {
@@ -158,7 +157,7 @@ pub enum Msg<E: ExecutionEngine> {
     /// New primary → recovering node: committed state as of log position
     /// `seq`. Records `> seq` follow on the same FIFO link.
     Snapshot { engine: Box<E>, seq: u64 },
-    /// Backend control (dest [`ActorId::Control`]): group `0` now answers
+    /// Driver control (dest [`ActorId::Control`]): group `0` now answers
     /// to the given slot — flip the routing table.
     Promoted { partition: PartitionId, slot: u32 },
     /// A closed sequencing epoch log: shard → every partition (merge
@@ -639,7 +638,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
 /// The replication control plane as an actor: the sole owner of
 /// membership/epoch state (`hcc_core::MembershipCore`). On a failure
 /// notification it drives the whole failover: promote the first backup,
-/// flip the backends' routing table, tell the dead node to rejoin, and
+/// flip the driver's routing table, tell the dead node to rejoin, and
 /// notify every coordinator shard with an epoch-stamped routing update.
 ///
 /// Emission order matters — the promotion must be in the new primary's

@@ -1,5 +1,5 @@
 //! The live runtime: the same concurrency control state machines as the
-//! simulator, driven on real OS threads — behind pluggable backends.
+//! simulator, driven on real OS threads.
 //!
 //! The actor model mirrors the paper: one single-threaded execution engine
 //! per partition (§2.3), one central coordinator (§3.3), closed-loop
@@ -10,30 +10,21 @@
 //! `hcc_core::CoordinatorNode`, the same nodes the simulator drives. The
 //! [`actors`] are adapters that translate messages into node inputs, route
 //! node outputs, complete log syncs inline, drop the modelled CPU charge
-//! (live time is wall time) and inject the primary crash. A [`Backend`]
-//! decides how the actors get CPU:
-//!
-//! * [`threaded::ThreadedBackend`] — one OS thread per actor, parked on a
-//!   channel. Faithful to the paper's process model and fastest at small
-//!   client counts, but a run with `C` clients costs `C + partitions + 2`
-//!   threads: the host drowns well before "millions of users".
-//! * [`multiplexed::MultiplexedBackend`] — every actor multiplexed onto a
-//!   small fixed worker pool via per-actor mailboxes and a ready queue
-//!   (an epoll-style reactor, hand-rolled — the build is offline). Memory
-//!   and thread count stay flat as clients grow, which is what lets a
-//!   single host drive thousands of closed-loop clients.
-//!
-//! Crossbeam channels (threaded) and the mailbox queues (multiplexed)
-//! both preserve per-link FIFO order, the property the speculation
-//! protocol relies on.
+//! (live time is wall time) and inject the primary crash. The
+//! [`multiplexed`] reactor gives them CPU: every actor on a small fixed
+//! worker pool via per-actor mailboxes and ready queues (an epoll-style
+//! reactor, hand-rolled — the build is offline). Memory and thread count
+//! stay flat as clients grow, which is what lets a single host drive
+//! thousands of closed-loop clients. The mailbox queues preserve per-link
+//! FIFO order, the property the speculation protocol relies on.
 //!
 //! The runtime is the "it actually runs" build: examples and soak tests
-//! use it, and the backup- and backend-equivalence checks run against it.
-//! Calibrated performance curves come from `hcc-sim`, whose virtual clock
-//! reproduces the paper's hardware ratios; the runtime measures whatever
-//! the host delivers (in-process message passing is ~100× faster than the
-//! paper's Ethernet, so its multi-partition stalls are proportionally
-//! smaller).
+//! use it, and the backup-equivalence, pool-size-equivalence and
+//! serial-reference checks run against it. Calibrated performance curves
+//! come from `hcc-sim`, whose virtual clock reproduces the paper's
+//! hardware ratios; the runtime measures whatever the host delivers
+//! (in-process message passing is ~100× faster than the paper's Ethernet,
+//! so its multi-partition stalls are proportionally smaller).
 
 // Associated-type generics make some signatures long; aliases would
 // obscure more than they clarify here.
@@ -41,58 +32,51 @@
 
 pub mod actors;
 pub mod multiplexed;
-pub mod threaded;
 
-pub use multiplexed::MultiplexedBackend;
-pub use threaded::ThreadedBackend;
+pub use multiplexed::run;
 
-use crate::actors::ReplicaParts;
 use hcc_common::stats::{
     AdaptiveStats, DurabilityCounters, LatencySummary, ReplicationCounters, SchedulerCounters,
     SequencerStats,
 };
-use hcc_common::{FailurePlan, Nanos, PartitionId, SystemConfig};
+use hcc_common::{FailurePlan, SystemConfig};
 use hcc_core::client::ClientStats;
-use hcc_core::{ExecutionEngine, NodeStats, RequestGenerator};
-use std::time::{Duration, Instant};
+use hcc_core::ExecutionEngine;
+use std::time::Duration;
 
-/// Which backend drives the actors. Every runtime entry point takes one
-/// explicitly — there is no implicit thread-per-actor default.
+/// The worker pool that drives the actors. Every runtime entry point takes
+/// one explicitly; it is the only place the pool size is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// One OS thread per actor.
-    Threaded,
-    /// All actors on a fixed pool of `workers` threads.
+    /// All actors on a fixed pool of `workers` threads; `0` sizes the pool
+    /// to the host's available parallelism.
     Multiplexed { workers: usize },
 }
 
 impl BackendChoice {
-    /// The multiplexed backend with automatic pool sizing (`workers == 0`
-    /// resolves through [`SystemConfig::resolved_workers`]: the config's
-    /// `workers` knob, else the host's available parallelism).
+    /// The multiplexed backend with automatic pool sizing.
     pub const fn multiplexed() -> Self {
         BackendChoice::Multiplexed { workers: 0 }
     }
 
-    /// Parse a CLI-style backend name (`threaded` | `multiplexed[:N]`,
-    /// where a bare `multiplexed` or `:0` sizes the pool automatically).
-    /// Rejects anything else with a message naming the bad input — a typo
-    /// must not silently fall back to a default backend.
+    /// Parse a CLI-style backend name (`multiplexed[:N]`, where a bare
+    /// `multiplexed` or `:0` sizes the pool automatically). Rejects
+    /// anything else with a message naming the bad input — a typo must not
+    /// silently fall back to a default backend.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "threaded" => Ok(BackendChoice::Threaded),
-            "multiplexed" => Ok(BackendChoice::multiplexed()),
-            _ => match s.strip_prefix("multiplexed:") {
-                Some(n) => n
-                    .parse()
-                    .map(|workers| BackendChoice::Multiplexed { workers })
-                    .map_err(|_| {
-                        format!("bad worker count {n:?} in backend {s:?} (expected multiplexed:N)")
-                    }),
-                None => Err(format!(
-                    "unknown backend {s:?} (expected `threaded` or `multiplexed[:N]`)"
-                )),
-            },
+        if s == "multiplexed" {
+            return Ok(BackendChoice::multiplexed());
+        }
+        match s.strip_prefix("multiplexed:") {
+            Some(n) => n
+                .parse()
+                .map(|workers| BackendChoice::Multiplexed { workers })
+                .map_err(|_| {
+                    format!("bad worker count {n:?} in backend {s:?} (expected multiplexed:N)")
+                }),
+            None => Err(format!(
+                "unknown backend {s:?} (expected `multiplexed[:N]`)"
+            )),
         }
     }
 }
@@ -100,7 +84,6 @@ impl BackendChoice {
 impl std::fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendChoice::Threaded => f.write_str("threaded"),
             BackendChoice::Multiplexed { workers: 0 } => f.write_str("multiplexed"),
             BackendChoice::Multiplexed { workers } => write!(f, "multiplexed:{workers}"),
         }
@@ -117,13 +100,13 @@ pub enum RunMode {
     /// Every client drives exactly this many requests to a final outcome
     /// (commit or user abort; transparent retries don't count), then the
     /// run drains. Total work is a pure function of the workload seed, so
-    /// two backends given the same inputs must agree on the final
-    /// committed state — the cross-backend equivalence contract.
+    /// on a commutative workload every pool size must reach the same
+    /// committed state as a one-at-a-time serial replay of the requests.
     FixedRequests(u64),
 }
 
-/// Runtime configuration: the system under test, the backend that drives
-/// it, the measurement protocol, and optional fault injection.
+/// Runtime configuration: the system under test, the worker pool that
+/// drives it, the measurement protocol, and optional fault injection.
 #[derive(Clone)]
 pub struct RuntimeConfig {
     pub system: SystemConfig,
@@ -184,8 +167,7 @@ impl RuntimeConfig {
     }
 }
 
-/// Per-worker reactor counters from a multiplexed run (empty for the
-/// threaded backend). `loops` counts scheduling iterations, `steps`
+/// Per-worker reactor counters. `loops` counts scheduling iterations, `steps`
 /// messages processed, `parks` condvar sleeps, `steals` tokens taken from
 /// another worker's shared queue, and `busy_ns` wall time spent stepping
 /// actors. The no-busy-spin invariant is `loops <= steps + parks + slack`:
@@ -231,8 +213,7 @@ pub struct RuntimeReport<E: ExecutionEngine> {
     /// sync (`None` per group when durability is off, or for a group whose
     /// run-ending primary never logged — e.g. torn down mid-failover).
     pub logs: Vec<Option<Vec<u8>>>,
-    /// Per-worker reactor counters (multiplexed backend only; empty for
-    /// threaded runs). Index = worker id; partitions pin to
+    /// Per-worker reactor counters. Index = worker id; partitions pin to
     /// `group % workers.len()`.
     pub workers: Vec<WorkerStats>,
     /// Epoch-sequencing counters summed across coordinator shards and
@@ -251,125 +232,15 @@ impl<E: ExecutionEngine> RuntimeReport<E> {
     }
 }
 
-/// A runtime backend: turns a configuration, a workload, and an engine
-/// builder into a finished run. Implemented by [`ThreadedBackend`] and
-/// [`MultiplexedBackend`]; select one per run via [`BackendChoice`] and
-/// [`run`], or call a backend directly.
-pub trait Backend {
-    fn run<W, B>(
-        &self,
-        cfg: &RuntimeConfig,
-        workload: W,
-        build_engine: B,
-    ) -> RuntimeReport<W::Engine>
-    where
-        W: RequestGenerator + Send + 'static,
-        W::Engine: Send + 'static,
-        <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
-        <W::Engine as ExecutionEngine>::Output: Send + 'static,
-        B: Fn(PartitionId) -> W::Engine;
-}
-
-/// Run a workload on the backend selected by `cfg.backend`.
-///
-/// `build_engine` is called once per partition (plus once more per
-/// partition for its backup when `system.replication > 1`).
-pub fn run<W, B>(cfg: RuntimeConfig, workload: W, build_engine: B) -> RuntimeReport<W::Engine>
-where
-    W: RequestGenerator + Send + 'static,
-    W::Engine: Send + 'static,
-    <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
-    <W::Engine as ExecutionEngine>::Output: Send + 'static,
-    B: Fn(PartitionId) -> W::Engine,
-{
-    match cfg.backend {
-        BackendChoice::Threaded => ThreadedBackend.run(&cfg, workload, build_engine),
-        BackendChoice::Multiplexed { workers } => {
-            MultiplexedBackend { workers }.run(&cfg, workload, build_engine)
-        }
-    }
-}
-
-pub(crate) fn now_ns(epoch: Instant) -> Nanos {
-    Nanos(epoch.elapsed().as_nanos() as u64)
-}
-
-/// Sort the harvested replica nodes into the report shape: the primary
-/// engine per group, the live backups in (group, slot) order, the merged
-/// counters, and each group's durable log image.
-pub(crate) fn assemble_replicas<E: ExecutionEngine>(
-    mut parts: Vec<ReplicaParts<E>>,
-    groups: usize,
-) -> (Vec<E>, Vec<E>, NodeStats, Vec<Option<Vec<u8>>>) {
-    parts.sort_by_key(|p| (p.group, p.slot));
-    let mut stats = NodeStats::default();
-    let mut engines: Vec<Option<E>> = (0..groups).map(|_| None).collect();
-    let mut logs: Vec<Option<Vec<u8>>> = (0..groups).map(|_| None).collect();
-    let mut backups = Vec::new();
-    for part in parts {
-        stats.merge(&part.stats);
-        if part.is_primary {
-            let slot = engines
-                .get_mut(part.group.as_usize())
-                .expect("group in range");
-            debug_assert!(slot.is_none(), "two primaries in one group");
-            *slot = part.engine;
-            logs[part.group.as_usize()] = part.log_image;
-        } else if part.is_backup {
-            backups.extend(part.engine);
-        }
-        // Failed/recovering nodes that never finished rejoining (possible
-        // only when a timed run is torn down mid-recovery) hold stale
-        // state and are reported through the counters alone.
-    }
-    let engines = engines
-        .into_iter()
-        .map(|e| e.expect("every group has a primary"))
-        .collect();
-    (engines, backups, stats, logs)
-}
-
-/// Finish a report from the pieces every backend harvests.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_report<E: ExecutionEngine>(
-    mode: &RunMode,
-    committed_in_window: u64,
-    elapsed: Duration,
-    clients: ClientStats,
-    stats: NodeStats,
-    engines: Vec<E>,
-    backups: Vec<E>,
-    logs: Vec<Option<Vec<u8>>>,
-    workers: Vec<WorkerStats>,
-) -> RuntimeReport<E> {
-    let (committed, secs) = match mode {
-        RunMode::Timed { measure, .. } => (committed_in_window, measure.as_secs_f64()),
-        RunMode::FixedRequests(_) => (clients.committed, elapsed.as_secs_f64().max(1e-9)),
-    };
-    RuntimeReport {
-        committed,
-        throughput_tps: committed as f64 / secs,
-        clients,
-        sched: stats.sched,
-        replication: stats.repl,
-        engines,
-        backups,
-        durability: stats.dur,
-        logs,
-        workers,
-        sequencer: stats.seq,
-        adaptive: stats.adaptive,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_common::Scheme;
+    use hcc_common::{Nanos, Scheme};
     use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
+    /// A single worker (every actor interleaved on one thread) and a pool.
     const BACKENDS: [BackendChoice; 2] = [
-        BackendChoice::Threaded,
+        BackendChoice::Multiplexed { workers: 1 },
         BackendChoice::Multiplexed { workers: 4 },
     ];
 
@@ -531,10 +402,6 @@ mod tests {
     #[test]
     fn backend_choice_parses() {
         assert_eq!(
-            BackendChoice::parse("threaded"),
-            Ok(BackendChoice::Threaded)
-        );
-        assert_eq!(
             BackendChoice::parse("multiplexed"),
             Ok(BackendChoice::multiplexed())
         );
@@ -544,7 +411,6 @@ mod tests {
         );
         // Round trip: every backend renders to a spelling that parses back.
         for b in [
-            BackendChoice::Threaded,
             BackendChoice::multiplexed(),
             BackendChoice::Multiplexed { workers: 7 },
         ] {
@@ -555,20 +421,23 @@ mod tests {
         assert!(err.contains("green-threads"), "{err}");
         let err = BackendChoice::parse("multiplexed:lots").unwrap_err();
         assert!(err.contains("lots"), "{err}");
+        // `threaded` is not a backend.
+        let err = BackendChoice::parse("threaded").unwrap_err();
+        assert!(err.contains("threaded"), "{err}");
     }
 }
 
 #[cfg(test)]
 mod tpcc_tests {
     use super::*;
-    use hcc_common::Scheme;
+    use hcc_common::{Nanos, Scheme};
     use hcc_storage::tpcc::consistency;
     use hcc_workloads::tpcc::{TpccConfig, TpccWorkload};
 
     #[test]
     fn tpcc_runs_live_and_stays_consistent_on_both_backends() {
         for backend in [
-            BackendChoice::Threaded,
+            BackendChoice::Multiplexed { workers: 1 },
             BackendChoice::Multiplexed { workers: 4 },
         ] {
             for scheme in [Scheme::Speculative, Scheme::Locking] {
@@ -596,7 +465,7 @@ mod tpcc_tests {
     #[test]
     fn tpcc_replicated_backups_converge() {
         for backend in [
-            BackendChoice::Threaded,
+            BackendChoice::Multiplexed { workers: 1 },
             BackendChoice::Multiplexed { workers: 4 },
         ] {
             let mut tpcc = TpccConfig::new(2, 2);

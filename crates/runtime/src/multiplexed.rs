@@ -1,8 +1,7 @@
-//! Multiplexed reactor backend: every actor on a configurable worker
-//! pool with partition affinity.
+//! The runtime's driver: every actor on a configurable worker pool with
+//! partition affinity.
 //!
-//! The ROADMAP's "async backend", hand-rolled because the build is
-//! offline (no tokio, and the vendored crossbeam has no `Select`): each
+//! A hand-rolled reactor, because the build is offline (no tokio): each
 //! actor owns a mailbox (`Mutex<VecDeque>` + a `scheduled` bit) and the
 //! indices of actors with undelivered mail circulate through per-worker
 //! run queues. Workers pop an index, drain that mailbox, step the actor,
@@ -54,23 +53,27 @@
 //! kill → promote → recover chain, which is itself just messages. The
 //! count stays a *single* padded atomic on purpose: sharding it would
 //! admit transient zero reads and a false quiescence.
+//!
+//! While it waits for quiescence the driver also watches the worker
+//! threads. A worker exits only on shutdown, so one that finished earlier
+//! died in a panicking actor step, and that actor stays scheduled with
+//! its mail undelivered; the driver stops the run and re-raises the
+//! worker's panic rather than wait for a drain that cannot come.
 
 use crate::actors::{
     ActorId, ClientActor, ClientCtx, CoordinatorActor, MembershipActor, Msg, OutMsg, ReplicaActor,
     ReplicaParts, RunControl,
 };
-use crate::{
-    assemble_replicas, finish_report, now_ns, Backend, RunMode, RuntimeConfig, RuntimeReport,
-    WorkerStats,
-};
+use crate::{BackendChoice, RunMode, RuntimeConfig, RuntimeReport, WorkerStats};
 use hcc_common::stats::SequencerStats;
-use hcc_common::{CachePadded, ClientId, CoordinatorId, PartitionId, Scheme};
+use hcc_common::{CachePadded, ClientId, CoordinatorId, Nanos, PartitionId, Scheme};
 use hcc_core::client::ClientStats;
-use hcc_core::{ExecutionEngine, RequestGenerator};
+use hcc_core::{ExecutionEngine, NodeStats, RequestGenerator};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 struct Mailbox<E: ExecutionEngine> {
@@ -291,7 +294,7 @@ where
 
     /// Step one actor for one message, routing its outputs.
     fn process(&self, idx: usize, msg: Msg<W::Engine>, out: &mut Vec<OutMsg<W::Engine>>) {
-        let now = now_ns(self.epoch);
+        let now = Nanos(self.epoch.elapsed().as_nanos() as u64);
         let mut actor = self.actors[idx].lock();
         match &mut *actor {
             AnyActor::Client(c) => {
@@ -390,269 +393,323 @@ where
     *ws.stats.lock() = stats;
 }
 
-/// All actors multiplexed onto a pool of worker threads with partition
-/// affinity. `workers == 0` means auto: `SystemConfig::resolved_workers`
-/// (the `workers` knob, else available parallelism).
-#[derive(Default)]
-pub struct MultiplexedBackend {
-    pub workers: usize,
-}
+/// Run a workload with every actor multiplexed onto the worker pool
+/// `cfg.backend` names.
+///
+/// `build_engine` is called once per partition (plus once more per
+/// partition for each backup when `system.replication > 1`).
+pub fn run<W, B>(cfg: RuntimeConfig, workload: W, build_engine: B) -> RuntimeReport<W::Engine>
+where
+    W: RequestGenerator + Send + 'static,
+    W::Engine: Send + 'static,
+    <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
+    <W::Engine as ExecutionEngine>::Output: Send + 'static,
+    B: Fn(PartitionId) -> W::Engine,
+{
+    let system = &cfg.system;
+    if let Err(e) = system.validate() {
+        panic!("invalid SystemConfig: {e}");
+    }
+    let BackendChoice::Multiplexed { workers } = cfg.backend;
+    let workers = if workers > 0 {
+        workers
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
+    let n = system.partitions as usize;
+    let slots = system.replication.max(1) as usize;
+    let clients = system.clients as usize;
+    if let Some(plan) = cfg.failure {
+        assert!(
+            system.replication >= 2,
+            "failure injection needs a backup to fail over to"
+        );
+        assert!((plan.partition.as_usize()) < n && plan.after_commits >= 1);
+    }
+    let per_client = match cfg.mode {
+        RunMode::FixedRequests(k) => Some(k),
+        RunMode::Timed { .. } => None,
+    };
 
-impl Backend for MultiplexedBackend {
-    fn run<W, B>(
-        &self,
-        cfg: &RuntimeConfig,
-        workload: W,
-        build_engine: B,
-    ) -> RuntimeReport<W::Engine>
-    where
-        W: RequestGenerator + Send + 'static,
-        W::Engine: Send + 'static,
-        <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
-        <W::Engine as ExecutionEngine>::Output: Send + 'static,
-        B: Fn(PartitionId) -> W::Engine,
-    {
-        let system = &cfg.system;
-        if let Err(e) = system.validate() {
-            panic!("invalid SystemConfig: {e}");
-        }
-        // Explicit backend choice wins, then the system config knob, then
-        // the host's available parallelism.
-        let workers = if self.workers > 0 {
-            self.workers
-        } else {
-            system.resolved_workers()
-        };
-        let n = system.partitions as usize;
-        let slots = system.replication.max(1) as usize;
-        let clients = system.clients as usize;
-        if let Some(plan) = cfg.failure {
-            assert!(
-                system.replication >= 2,
-                "failure injection needs a backup to fail over to"
-            );
-            assert!((plan.partition.as_usize()) < n && plan.after_commits >= 1);
-        }
-        let per_client = match cfg.mode {
-            RunMode::FixedRequests(k) => Some(k),
-            RunMode::Timed { .. } => None,
-        };
-
-        // Actor slab: clients, coordinator shards, membership, replica
-        // groups.
-        let mut actors: Vec<CachePadded<Mutex<AnyActor<W>>>> = Vec::new();
-        for c in 0..clients {
-            actors.push(CachePadded::new(Mutex::new(AnyActor::Client(Box::new(
-                ClientActor::new(ClientId(c as u32), system, per_client),
+    // Actor slab: clients, coordinator shards, membership, replica
+    // groups.
+    let mut actors: Vec<CachePadded<Mutex<AnyActor<W>>>> = Vec::new();
+    for c in 0..clients {
+        actors.push(CachePadded::new(Mutex::new(AnyActor::Client(Box::new(
+            ClientActor::new(ClientId(c as u32), system, per_client),
+        )))));
+    }
+    let shards = system.coordinators.max(1) as usize;
+    let track_in_doubt = cfg.failure.is_some();
+    let seq_on = system.sequencing_active();
+    let mut tick_coords = false;
+    for k in 0..shards {
+        let coord: CoordinatorActor<W::Engine> =
+            CoordinatorActor::new(system, CoordinatorId(k as u32), track_in_doubt);
+        tick_coords |= coord.wants_ticks();
+        actors.push(CachePadded::new(Mutex::new(AnyActor::Coordinator(
+            Box::new(coord),
+        ))));
+    }
+    actors.push(CachePadded::new(Mutex::new(AnyActor::Membership(
+        Box::new(MembershipActor::new(system.coordinators)),
+    ))));
+    for p in 0..n {
+        let group = PartitionId(p as u32);
+        for s in 0..slots {
+            let crash_after = cfg
+                .failure
+                .filter(|f| f.partition == group && s == 0)
+                .map(|f| f.after_commits);
+            actors.push(CachePadded::new(Mutex::new(AnyActor::Replica(Box::new(
+                ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after),
             )))));
         }
-        let shards = system.coordinators.max(1) as usize;
-        let track_in_doubt = cfg.failure.is_some();
-        let seq_on = system.sequencing_active();
-        let mut tick_coords = false;
-        for k in 0..shards {
-            let coord: CoordinatorActor<W::Engine> =
-                CoordinatorActor::new(system, CoordinatorId(k as u32), track_in_doubt);
-            tick_coords |= coord.wants_ticks();
-            actors.push(CachePadded::new(Mutex::new(AnyActor::Coordinator(
-                Box::new(coord),
-            ))));
-        }
-        actors.push(CachePadded::new(Mutex::new(AnyActor::Membership(
-            Box::new(MembershipActor::new(system.coordinators)),
-        ))));
-        for p in 0..n {
-            let group = PartitionId(p as u32);
-            for s in 0..slots {
-                let crash_after = cfg
-                    .failure
-                    .filter(|f| f.partition == group && s == 0)
-                    .map(|f| f.after_commits);
-                actors.push(CachePadded::new(Mutex::new(AnyActor::Replica(Box::new(
-                    ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after),
-                )))));
-            }
-        }
+    }
 
-        let total = actors.len();
-        let shared = Arc::new(Shared {
-            mail: (0..total)
-                .map(|_| {
-                    CachePadded::new(Mutex::new(Mailbox {
-                        queue: VecDeque::new(),
-                        scheduled: false,
-                    }))
-                })
-                .collect(),
-            actors,
-            workers: (0..workers)
-                .map(|_| CachePadded::new(WorkerState::new()))
-                .collect(),
-            pending: CachePadded::new(AtomicU64::new(0)),
-            shutdown: AtomicBool::new(false),
-            ctl: RunControl::new(clients),
-            workload: Mutex::new(workload),
-            epoch: Instant::now(),
-            clients,
-            coordinators: shards,
-            slots_per_group: slots,
-            membership: (0..n)
-                .map(|_| CachePadded::new(AtomicU32::new(0)))
-                .collect(),
-        });
+    let total = actors.len();
+    let shared = Arc::new(Shared {
+        mail: (0..total)
+            .map(|_| {
+                CachePadded::new(Mutex::new(Mailbox {
+                    queue: VecDeque::new(),
+                    scheduled: false,
+                }))
+            })
+            .collect(),
+        actors,
+        workers: (0..workers)
+            .map(|_| CachePadded::new(WorkerState::new()))
+            .collect(),
+        pending: CachePadded::new(AtomicU64::new(0)),
+        shutdown: AtomicBool::new(false),
+        ctl: RunControl::new(clients),
+        workload: Mutex::new(workload),
+        epoch: Instant::now(),
+        clients,
+        coordinators: shards,
+        slots_per_group: slots,
+        membership: (0..n)
+            .map(|_| CachePadded::new(AtomicU32::new(0)))
+            .collect(),
+    });
 
-        // Worker pool.
-        let mut handles = Vec::new();
-        for me in 0..workers {
-            let shared = shared.clone();
-            handles.push(std::thread::spawn(move || worker_loop(&shared, me)));
+    // Worker pool.
+    let mut handles = Vec::new();
+    for me in 0..workers {
+        let shared = shared.clone();
+        handles.push(std::thread::spawn(move || worker_loop(&shared, me)));
+    }
+
+    // Tick timer: the locking scheme needs periodic lock-timeout scans
+    // at each group's current primary, and sharded coordinators need
+    // periodic stall expiry (cross-shard deadlock resolution). Runs
+    // until every client has retired (after which no transaction can
+    // be waiting on a lock or a cross-shard chain).
+    let timer_stop = Arc::new(AtomicBool::new(false));
+    // An adaptive partition can be (or become) Locking at any time, so
+    // it needs the lock-timeout scans too.
+    let tick_partitions =
+        system.scheme == Scheme::Locking || system.adaptive.is_on() || system.durability.is_some();
+    // Clients park during backoff retries (infrastructure aborts) and
+    // need a wake-up tick; only configurations that can produce such
+    // aborts pay for the ticking — and only while at least one client
+    // is actually parked (`backoff_waiters`), so an idle system sends
+    // nothing and the workers stay parked.
+    let tick_clients = system.replication > 1 || shards > 1 || system.durability.is_some();
+    let timer = (tick_partitions || tick_coords || tick_clients).then(|| {
+        let shared = shared.clone();
+        let stop = timer_stop.clone();
+        let mut tick_nanos = system.lock_timeout.0 / 4;
+        if let Some(d) = system.durability {
+            // Group-commit flushes ride the same timer; tick at least
+            // twice per interval so batch latency stays near the knob.
+            tick_nanos = tick_nanos.min(d.group_commit_interval.0 / 2);
         }
-
-        // Tick timer: the locking scheme needs periodic lock-timeout scans
-        // at each group's current primary, and sharded coordinators need
-        // periodic stall expiry (cross-shard deadlock resolution). Runs
-        // until every client has retired (after which no transaction can
-        // be waiting on a lock or a cross-shard chain).
-        let timer_stop = Arc::new(AtomicBool::new(false));
-        // An adaptive partition can be (or become) Locking at any time, so
-        // it needs the lock-timeout scans too.
-        let tick_partitions = system.scheme == Scheme::Locking
-            || system.adaptive.is_on()
-            || system.durability.is_some();
-        // Clients park during backoff retries (infrastructure aborts) and
-        // need a wake-up tick; only configurations that can produce such
-        // aborts pay for the ticking — and only while at least one client
-        // is actually parked (`backoff_waiters`), so an idle system sends
-        // nothing and the workers stay parked.
-        let tick_clients = system.replication > 1 || shards > 1 || system.durability.is_some();
-        let timer = (tick_partitions || tick_coords || tick_clients).then(|| {
-            let shared = shared.clone();
-            let stop = timer_stop.clone();
-            let mut tick_nanos = system.lock_timeout.0 / 4;
-            if let Some(d) = system.durability {
-                // Group-commit flushes ride the same timer; tick at least
-                // twice per interval so batch latency stays near the knob.
-                tick_nanos = tick_nanos.min(d.group_commit_interval.0 / 2);
-            }
-            if seq_on {
-                // Epoch age-closes fire at half the max delay so a lone
-                // buffered invoke never waits much past its deadline.
-                tick_nanos = tick_nanos.min(system.sequencing.max_delay().0 / 2);
-            }
-            let tick_every = Duration::from_nanos(tick_nanos).max(
-                // Don't busy-spin on sub-microsecond timeouts.
-                Duration::from_micros(100),
-            );
-            let parts = n;
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick_every);
-                    if tick_partitions {
-                        for p in 0..parts {
-                            shared.send(OutMsg {
-                                dest: ActorId::Partition(PartitionId(p as u32)),
-                                msg: Msg::Tick,
-                            });
-                        }
-                    }
-                    if tick_coords {
-                        for k in 0..shards {
-                            shared.send(OutMsg {
-                                dest: ActorId::Coordinator(CoordinatorId(k as u32)),
-                                msg: Msg::Tick,
-                            });
-                        }
-                    }
-                    if tick_clients && shared.ctl.backoff_waiters() > 0 {
-                        for c in 0..shared.clients {
-                            shared.send(OutMsg {
-                                dest: ActorId::Client(ClientId(c as u32)),
-                                msg: Msg::Tick,
-                            });
-                        }
+        if seq_on {
+            // Epoch age-closes fire at half the max delay so a lone
+            // buffered invoke never waits much past its deadline.
+            tick_nanos = tick_nanos.min(system.sequencing.max_delay().0 / 2);
+        }
+        let tick_every = Duration::from_nanos(tick_nanos).max(
+            // Don't busy-spin on sub-microsecond timeouts.
+            Duration::from_micros(100),
+        );
+        let parts = n;
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(tick_every);
+                if tick_partitions {
+                    for p in 0..parts {
+                        shared.send(OutMsg {
+                            dest: ActorId::Partition(PartitionId(p as u32)),
+                            msg: Msg::Tick,
+                        });
                     }
                 }
-            })
+                if tick_coords {
+                    for k in 0..shards {
+                        shared.send(OutMsg {
+                            dest: ActorId::Coordinator(CoordinatorId(k as u32)),
+                            msg: Msg::Tick,
+                        });
+                    }
+                }
+                if tick_clients && shared.ctl.backoff_waiters() > 0 {
+                    for c in 0..shared.clients {
+                        shared.send(OutMsg {
+                            dest: ActorId::Client(ClientId(c as u32)),
+                            msg: Msg::Tick,
+                        });
+                    }
+                }
+            }
+        })
+    });
+
+    // Kick every client.
+    for c in 0..clients {
+        shared.send(OutMsg {
+            dest: ActorId::Client(ClientId(c as u32)),
+            msg: Msg::Start,
         });
+    }
 
-        // Kick every client.
-        for c in 0..clients {
-            shared.send(OutMsg {
-                dest: ActorId::Client(ClientId(c as u32)),
-                msg: Msg::Start,
-            });
-        }
-
-        // Measurement protocol.
-        let started = Instant::now();
-        if let RunMode::Timed { warmup, measure } = cfg.mode {
-            std::thread::sleep(warmup);
-            shared.ctl.window_open.store(true, Ordering::SeqCst);
-            std::thread::sleep(measure);
-            shared.ctl.window_open.store(false, Ordering::SeqCst);
-            shared.ctl.stop.store(true, Ordering::SeqCst);
-        }
-        // Clients finish their in-flight transactions and retire.
-        while shared.ctl.live_clients.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let elapsed = started.elapsed();
-        // No transactions in flight: stop the tick source, then drain the
-        // trailing decisions, commit records, and (after an injected
-        // failure) the promote/recover chain — all of which the pending
-        // count covers.
-        timer_stop.store(true, Ordering::SeqCst);
-        if let Some(t) = timer {
-            t.join().expect("timer thread");
-        }
-        while shared.pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        if cfg.failure.is_some() {
-            assert!(
-                shared.ctl.recovery_done.load(Ordering::SeqCst),
-                "injected failure never finished recovering — \
+    // Measurement protocol.
+    let started = Instant::now();
+    if let RunMode::Timed { warmup, measure } = cfg.mode {
+        std::thread::sleep(warmup);
+        shared.ctl.window_open.store(true, Ordering::SeqCst);
+        std::thread::sleep(measure);
+        shared.ctl.window_open.store(false, Ordering::SeqCst);
+        shared.ctl.stop.store(true, Ordering::SeqCst);
+    }
+    // Clients finish their in-flight transactions and retire.
+    wait_for(&shared, &timer_stop, &mut handles, || {
+        shared.ctl.live_clients.load(Ordering::SeqCst) == 0
+    });
+    let elapsed = started.elapsed();
+    // No transactions in flight: stop the tick source, then drain the
+    // trailing decisions, commit records, and (after an injected
+    // failure) the promote/recover chain — all of which the pending
+    // count covers.
+    timer_stop.store(true, Ordering::SeqCst);
+    if let Some(t) = timer {
+        t.join().expect("timer thread");
+    }
+    wait_for(&shared, &timer_stop, &mut handles, || {
+        shared.pending.load(Ordering::SeqCst) == 0
+    });
+    if cfg.failure.is_some() {
+        assert!(
+            shared.ctl.recovery_done.load(Ordering::SeqCst),
+            "injected failure never finished recovering — \
                  was the crash threshold reachable for this workload?"
-            );
-        }
-        shared.shutdown.store(true, Ordering::SeqCst);
-        for ws in &shared.workers {
-            ws.parker.wake();
-        }
-        for h in handles {
-            h.join().expect("worker thread");
-        }
+        );
+    }
+    shared.shutdown.store(true, Ordering::SeqCst);
+    for ws in &shared.workers {
+        ws.parker.wake();
+    }
+    for h in handles {
+        h.join().expect("worker thread");
+    }
 
-        // Harvest.
-        let committed_in_window = shared.ctl.committed_in_window();
-        let shared =
-            Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all worker handles joined"));
-        let worker_stats: Vec<WorkerStats> =
-            shared.workers.iter().map(|ws| *ws.stats.lock()).collect();
-        let mut clients_stats = ClientStats::default();
-        let mut sequencer = SequencerStats::default();
-        let mut parts: Vec<ReplicaParts<W::Engine>> = Vec::new();
-        for slot in shared.actors {
-            match slot.into_inner().into_inner() {
-                AnyActor::Client(c) => clients_stats.merge(&c.into_stats()),
-                AnyActor::Coordinator(c) => sequencer.merge(&c.seq_stats()),
-                AnyActor::Membership(_) => {}
-                AnyActor::Replica(r) => parts.push(r.into_parts()),
+    // Harvest.
+    let committed_in_window = shared.ctl.committed_in_window();
+    let shared =
+        Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all worker handles joined"));
+    let worker_stats: Vec<WorkerStats> = shared.workers.iter().map(|ws| *ws.stats.lock()).collect();
+    let mut clients_stats = ClientStats::default();
+    let mut sequencer = SequencerStats::default();
+    let mut parts: Vec<ReplicaParts<W::Engine>> = Vec::new();
+    for slot in shared.actors {
+        match slot.into_inner().into_inner() {
+            AnyActor::Client(c) => clients_stats.merge(&c.into_stats()),
+            AnyActor::Coordinator(c) => sequencer.merge(&c.seq_stats()),
+            AnyActor::Membership(_) => {}
+            AnyActor::Replica(r) => parts.push(r.into_parts()),
+        }
+    }
+    let (engines, backups, mut stats, logs) = assemble_replicas(parts, n);
+    stats.seq.merge(&sequencer);
+
+    let (committed, secs) = match cfg.mode {
+        RunMode::Timed { measure, .. } => (committed_in_window, measure.as_secs_f64()),
+        RunMode::FixedRequests(_) => (clients_stats.committed, elapsed.as_secs_f64().max(1e-9)),
+    };
+    RuntimeReport {
+        committed,
+        throughput_tps: committed as f64 / secs,
+        clients: clients_stats,
+        sched: stats.sched,
+        replication: stats.repl,
+        engines,
+        backups,
+        durability: stats.dur,
+        logs,
+        workers: worker_stats,
+        sequencer: stats.seq,
+        adaptive: stats.adaptive,
+    }
+}
+
+/// Sleep-poll until `done`. A worker exits only after shutdown, so one
+/// that finished earlier died in a panicking actor step and left that
+/// actor scheduled forever: stop the run and re-raise the worker's panic
+/// instead of waiting on.
+fn wait_for<W: RequestGenerator>(
+    shared: &Shared<W>,
+    timer_stop: &AtomicBool,
+    handles: &mut Vec<JoinHandle<()>>,
+    done: impl Fn() -> bool,
+) {
+    while !done() {
+        if let Some(i) = handles.iter().position(JoinHandle::is_finished) {
+            timer_stop.store(true, Ordering::SeqCst);
+            shared.shutdown.store(true, Ordering::SeqCst);
+            for ws in &shared.workers {
+                ws.parker.wake();
+            }
+            if let Err(panic) = handles.swap_remove(i).join() {
+                std::panic::resume_unwind(panic);
             }
         }
-        let (engines, backups, mut stats, logs) = assemble_replicas(parts, n);
-        stats.seq.merge(&sequencer);
-
-        finish_report(
-            &cfg.mode,
-            committed_in_window,
-            elapsed,
-            clients_stats,
-            stats,
-            engines,
-            backups,
-            logs,
-            worker_stats,
-        )
+        std::thread::sleep(Duration::from_micros(200));
     }
+}
+
+/// Sort the harvested replica nodes into the report shape: the primary
+/// engine per group, the live backups in (group, slot) order, the merged
+/// counters, and each group's durable log image.
+fn assemble_replicas<E: ExecutionEngine>(
+    mut parts: Vec<ReplicaParts<E>>,
+    groups: usize,
+) -> (Vec<E>, Vec<E>, NodeStats, Vec<Option<Vec<u8>>>) {
+    parts.sort_by_key(|p| (p.group, p.slot));
+    let mut stats = NodeStats::default();
+    let mut engines: Vec<Option<E>> = (0..groups).map(|_| None).collect();
+    let mut logs: Vec<Option<Vec<u8>>> = (0..groups).map(|_| None).collect();
+    let mut backups = Vec::new();
+    for part in parts {
+        stats.merge(&part.stats);
+        if part.is_primary {
+            let slot = engines
+                .get_mut(part.group.as_usize())
+                .expect("group in range");
+            debug_assert!(slot.is_none(), "two primaries in one group");
+            *slot = part.engine;
+            logs[part.group.as_usize()] = part.log_image;
+        } else if part.is_backup {
+            backups.extend(part.engine);
+        }
+        // Failed/recovering nodes that never finished rejoining (possible
+        // only when a timed run is torn down mid-recovery) hold stale
+        // state and are reported through the counters alone.
+    }
+    let engines = engines
+        .into_iter()
+        .map(|e| e.expect("every group has a primary"))
+        .collect();
+    (engines, backups, stats, logs)
 }

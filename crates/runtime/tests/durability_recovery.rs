@@ -1,7 +1,7 @@
 //! End-to-end durability on the live runtimes: a fixed-work run with the
 //! durable command log enabled must leave, for every partition group, a
 //! log whose replay rebuilds the primary's final state bit-for-bit — on
-//! both backends, for all four schemes. Plus the prefix property behind
+//! one worker and on a pool, for all four schemes. Plus the prefix property behind
 //! the crash-point sweep: *every* prefix of the log is a valid recovery
 //! point (recovery is monotone in the durable watermark), and a torn tail
 //! is discarded, never applied and never fatal.
@@ -86,9 +86,9 @@ fn check_run(scheme: Scheme, backend: BackendChoice) {
 }
 
 #[test]
-fn durable_log_replays_to_live_state_threaded() {
+fn durable_log_replays_to_live_state_single_worker() {
     for scheme in SCHEMES {
-        check_run(scheme, BackendChoice::Threaded);
+        check_run(scheme, BackendChoice::Multiplexed { workers: 1 });
     }
 }
 
@@ -104,7 +104,10 @@ fn durable_log_replays_to_live_state_multiplexed() {
 /// result against an independent serial replay of the same k records.
 #[test]
 fn every_log_prefix_is_a_valid_recovery_point() {
-    let r = durable_run(Scheme::Speculative, BackendChoice::Threaded);
+    let r = durable_run(
+        Scheme::Speculative,
+        BackendChoice::Multiplexed { workers: 1 },
+    );
     for (g, log) in r.logs.iter().enumerate() {
         let image = log.as_ref().expect("durability on");
         let (payloads, torn) = decode_frames(image);
@@ -145,7 +148,7 @@ fn every_log_prefix_is_a_valid_recovery_point() {
 /// discard it and land exactly on the previous record's state.
 #[test]
 fn torn_tail_of_a_real_log_is_discarded() {
-    let r = durable_run(Scheme::Blocking, BackendChoice::Threaded);
+    let r = durable_run(Scheme::Blocking, BackendChoice::Multiplexed { workers: 1 });
     let image = r.logs[0].as_ref().expect("durability on");
     let (payloads, _) = decode_frames(image);
     let n = payloads.len();
@@ -184,7 +187,7 @@ fn durability_off_leaves_no_trace() {
         .with_partitions(2)
         .with_clients(12)
         .with_seed(0xD0C5);
-    let cfg = RuntimeConfig::fixed_work(system, BackendChoice::Threaded, 10);
+    let cfg = RuntimeConfig::fixed_work(system, BackendChoice::Multiplexed { workers: 1 }, 10);
     let builder = MicroWorkload::new(mc);
     let r = run(cfg, MicroWorkload::new(mc), move |p| {
         builder.build_engine(p)

@@ -13,15 +13,16 @@
 //!   the group keeps processing" actually converged,
 //! * the untouched group's replicas also still agree.
 //!
-//! All four schemes on both backends — the acceptance bar for this PR.
+//! All four schemes, on one worker and on a four-worker pool.
 
 use hcc_common::{FailurePlan, PartitionId, Scheme, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 
+/// A single worker (every actor interleaved on one thread) and a pool.
 const BACKENDS: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
+    BackendChoice::Multiplexed { workers: 1 },
     BackendChoice::Multiplexed { workers: 4 },
 ];
 
@@ -144,7 +145,7 @@ fn failover_with_two_backups_keeps_every_replica_converged() {
 /// Failover with N > 1 coordinator shards: the control-plane membership
 /// actor must fan the routing update out to every shard (each aborts its
 /// own in-flight transactions), and the promoted backup + recovered node
-/// must still converge with the primary — on both backends.
+/// must still converge with the primary — on one worker and on a pool.
 #[test]
 fn failover_with_sharded_coordinators_converges() {
     for backend in BACKENDS {

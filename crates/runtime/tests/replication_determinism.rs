@@ -1,12 +1,12 @@
 //! Replication determinism (sibling of `backend_equivalence.rs`): after a
 //! fixed-work run with replication enabled, every backup's committed
 //! store must be bit-identical to its primary's — for all four schemes on
-//! both backends — with zero replay failures and a fully-acked commit
-//! log. The microbenchmark's committed effects are key-disjoint
+//! one worker and on a pool — with zero replay failures and a fully-acked
+//! commit log. The microbenchmark's committed effects are key-disjoint
 //! commutative increments, so the primaries are additionally
-//! fingerprint-comparable *across* backends (same argument as
-//! `backend_equivalence.rs`), which extends the cross-backend contract to
-//! the replicated configuration, and likewise to the YCSB workload (blind
+//! fingerprint-comparable *across* pool sizes (same argument as
+//! `backend_equivalence.rs`), which extends that contract to the
+//! replicated configuration, and likewise to the YCSB workload (blind
 //! RMW increments over a shared Zipfian key space).
 
 use hcc_common::stats::ReplicationCounters;
@@ -15,8 +15,9 @@ use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 
+/// A single worker (every actor interleaved on one thread) and a pool.
 const BACKENDS: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
+    BackendChoice::Multiplexed { workers: 1 },
     BackendChoice::Multiplexed { workers: 4 },
 ];
 
@@ -87,18 +88,18 @@ fn replicas_match_primaries_for_all_schemes_on_both_backends() {
         Scheme::Locking,
         Scheme::Occ,
     ] {
-        let threaded = replicated_fingerprints(scheme, BACKENDS[0]);
-        let multiplexed = replicated_fingerprints(scheme, BACKENDS[1]);
+        let one = replicated_fingerprints(scheme, BACKENDS[0]);
+        let pool = replicated_fingerprints(scheme, BACKENDS[1]);
         assert_eq!(
-            threaded, multiplexed,
-            "{scheme}: replicated committed state diverged between backends"
+            one, pool,
+            "{scheme}: replicated committed state diverged between pool sizes"
         );
     }
 }
 
 /// The YCSB read-mostly Zipfian workload under replication: shared hot
 /// keys stress the replay path (every commit touches overlapping state),
-/// and commutativity keeps the fingerprints backend-independent.
+/// and commutativity keeps the fingerprints pool-size-independent.
 #[test]
 fn ycsb_replicas_match_primaries_across_backends() {
     let clients = 16u32;
@@ -141,6 +142,6 @@ fn ycsb_replicas_match_primaries_across_backends() {
     }
     assert_eq!(
         results[0], results[1],
-        "YCSB state diverged across backends"
+        "YCSB state diverged across pool sizes"
     );
 }

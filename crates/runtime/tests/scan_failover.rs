@@ -1,10 +1,9 @@
 //! Scan-heavy fragments on the live runtime: failover under a seed
-//! sweep, bit-determinism per seed, and cross-backend equivalence — the
-//! ISSUE 5 fault-injection satellite.
+//! sweep, bit-determinism per seed, and equivalence across pool sizes.
 //!
 //! The YCSB-E mix is state-commutative by construction (scans read,
 //! point updates are blind increments, insert/delete churn keys are
-//! client-unique), so for a fixed seed every run — any backend, any
+//! client-unique), so for a fixed seed every run — any pool size, any
 //! thread interleaving, even with a mid-run primary kill — must converge
 //! to the same committed state, bit for bit. The recovered node rejoins
 //! from an `ExecutionEngine::snapshot()` that must carry the ordered
@@ -16,8 +15,9 @@ use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::MicroEngine;
 use hcc_workloads::ycsb::{YcsbEConfig, YcsbEWorkload};
 
+/// A single worker (every actor interleaved on one thread) and a pool.
 const BACKENDS: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
+    BackendChoice::Multiplexed { workers: 1 },
     BackendChoice::Multiplexed { workers: 4 },
 ];
 
@@ -79,7 +79,7 @@ fn state_of(r: &RuntimeReport<MicroEngine>) -> (Vec<u64>, Vec<u64>) {
     )
 }
 
-/// ≥ 8 seeds × both backends: a failover fired mid-scan-heavy run must
+/// ≥ 8 seeds × both pool sizes: a failover fired mid-scan-heavy run must
 /// converge, and re-running the identical configuration must reproduce
 /// the exact committed state — bit-deterministic per seed. The promoted
 /// and recovered replicas must match the primaries' ordered views.
@@ -120,9 +120,9 @@ fn scan_heavy_failover_seed_sweep_is_bit_deterministic() {
     );
 }
 
-/// Cross-backend equivalence extends to scans: for every scheme, the
-/// threaded and multiplexed backends must commit the same final state on
-/// the scan-heavy mix (no failure injection — pure wiring check).
+/// Pool-size equivalence extends to scans: for every scheme, one worker
+/// and four workers must commit the same final state on the scan-heavy
+/// mix (no failure injection — pure wiring check).
 #[test]
 fn scan_heavy_backends_agree_for_all_schemes() {
     for scheme in [
@@ -157,7 +157,7 @@ fn scan_heavy_backends_agree_for_all_schemes() {
         }
         assert_eq!(
             states[0], states[1],
-            "{scheme}: threaded and multiplexed diverged on the scan-heavy mix"
+            "{scheme}: one worker and four workers diverged on the scan-heavy mix"
         );
     }
 }

@@ -1,7 +1,7 @@
-//! Epoch sequencing on the live runtime (ISSUE 8): both backends drive
-//! the same `ShardSequencer`/`PartitionSequencer` state machines the sim
-//! does, so a fixed-work run with sequencing on must leave bit-identical
-//! committed state regardless of backend, worker pool, or shard count —
+//! Epoch sequencing on the live runtime: the runtime drives the same
+//! `ShardSequencer`/`PartitionSequencer` state machines the sim does, so
+//! a fixed-work run with sequencing on must leave bit-identical committed
+//! state regardless of worker pool or shard count —
 //! and a sequenced run must never issue a `CrossCoordinator` expiry
 //! abort (the merged epoch order leaves nothing for expiry to break).
 
@@ -67,10 +67,10 @@ fn fingerprints_sequenced(
     )
 }
 
-/// Satellite (c): backend equivalence at sequencing on × shards ∈
+/// Pool-size equivalence (one worker vs four) at sequencing on × shards ∈
 /// {1, 2, 4} × all four schemes. The locking scheme treats the knob as
 /// inert (client-driven 2PC has no central dispatch to sequence) but must
-/// still agree across backends with it set.
+/// still agree across pool sizes with it set.
 #[test]
 fn sequenced_backends_agree_across_schemes_and_shard_counts() {
     for scheme in [
@@ -80,15 +80,19 @@ fn sequenced_backends_agree_across_schemes_and_shard_counts() {
         Scheme::Occ,
     ] {
         for coordinators in [1u32, 2, 4] {
-            let threaded = fingerprints_sequenced(scheme, BackendChoice::Threaded, coordinators);
-            let multiplexed = fingerprints_sequenced(
+            let one = fingerprints_sequenced(
+                scheme,
+                BackendChoice::Multiplexed { workers: 1 },
+                coordinators,
+            );
+            let pool = fingerprints_sequenced(
                 scheme,
                 BackendChoice::Multiplexed { workers: 4 },
                 coordinators,
             );
             assert_eq!(
-                threaded, multiplexed,
-                "{scheme}/N={coordinators}: committed state diverged between backends"
+                one, pool,
+                "{scheme}/N={coordinators}: committed state diverged between pool sizes"
             );
         }
     }

@@ -1,5 +1,6 @@
-//! Worker-pool behaviour of the multiplexed backend: partition affinity,
-//! condvar parking (no busy-spin), and pool-size resolution.
+//! Worker-pool behaviour of the runtime: partition affinity,
+//! condvar parking (no busy-spin), pool-size resolution, and a worker
+//! panic failing the run.
 //!
 //! These tests read the per-worker reactor counters
 //! ([`hcc_runtime::WorkerStats`]) that a multiplexed run reports:
@@ -14,9 +15,10 @@
 //!   run on that home worker, which is observable as `pinned_steps == 0`
 //!   on every non-home worker.
 
-use hcc_common::{Scheme, SystemConfig};
+use hcc_common::{ClientId, Scheme, SystemConfig};
+use hcc_core::{Request, RequestGenerator};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig};
-use hcc_workloads::micro::{MicroConfig, MicroWorkload};
+use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroFragment, MicroOutput, MicroWorkload};
 use std::time::Duration;
 
 fn micro(clients: u32) -> MicroConfig {
@@ -30,7 +32,7 @@ fn micro(clients: u32) -> MicroConfig {
     }
 }
 
-fn run_pool(cfg: RuntimeConfig) -> hcc_runtime::RuntimeReport<hcc_workloads::micro::MicroEngine> {
+fn run_pool(cfg: RuntimeConfig) -> hcc_runtime::RuntimeReport<MicroEngine> {
     let mc = micro(cfg.system.clients);
     let builder = MicroWorkload::new(mc);
     run(cfg, MicroWorkload::new(mc), move |p| {
@@ -106,9 +108,8 @@ fn partition_work_stays_on_home_workers() {
     }
 }
 
-/// Pool-size resolution precedence: an explicit worker count on the
-/// backend choice wins; `workers == 0` falls back to the system config's
-/// `workers` knob; the threaded backend reports no worker stats at all.
+/// Pool-size resolution: an explicit worker count on the backend choice
+/// is the pool size; `workers == 0` sizes the pool to the host.
 #[test]
 fn pool_size_resolution_precedence() {
     let base = SystemConfig::new(Scheme::Blocking)
@@ -116,26 +117,48 @@ fn pool_size_resolution_precedence() {
         .with_clients(4)
         .with_seed(0x7007);
 
-    // Explicit backend count wins over the config knob.
-    let cfg = RuntimeConfig::fixed_work(
-        base.clone().with_workers(5),
-        BackendChoice::Multiplexed { workers: 2 },
-        10,
-    );
+    let cfg =
+        RuntimeConfig::fixed_work(base.clone(), BackendChoice::Multiplexed { workers: 2 }, 10);
     let r = run_pool(cfg);
-    assert_eq!(r.workers.len(), 2, "explicit backend count must win");
+    assert_eq!(r.workers.len(), 2, "an explicit count is the pool size");
 
-    // Auto resolves through the config knob.
-    let cfg = RuntimeConfig::fixed_work(
-        base.clone().with_workers(3),
-        BackendChoice::multiplexed(),
-        10,
-    );
+    let cfg = RuntimeConfig::fixed_work(base, BackendChoice::multiplexed(), 10);
     let r = run_pool(cfg);
-    assert_eq!(r.workers.len(), 3, "auto must use SystemConfig::workers");
+    assert!(!r.workers.is_empty(), "auto must give a non-empty pool");
+}
 
-    // Threaded runs have no reactor and report no worker stats.
-    let cfg = RuntimeConfig::fixed_work(base, BackendChoice::Threaded, 10);
-    let r = run_pool(cfg);
-    assert!(r.workers.is_empty());
+/// A microbenchmark generator that panics after `limit` requests.
+struct GivesUp {
+    inner: MicroWorkload,
+    limit: u32,
+}
+
+impl RequestGenerator for GivesUp {
+    type Engine = MicroEngine;
+
+    fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, MicroOutput> {
+        assert!(self.limit > 0, "the generator gave up");
+        self.limit -= 1;
+        self.inner.next_request(client)
+    }
+}
+
+/// A panic inside an actor step (here the client's call into the
+/// generator) fails the run with that panic. The dead worker leaves its
+/// actor scheduled forever, so the driver must not keep waiting for it.
+#[test]
+#[should_panic(expected = "the generator gave up")]
+fn a_panicking_actor_fails_the_run_instead_of_hanging() {
+    let system = SystemConfig::new(Scheme::Speculative)
+        .with_partitions(2)
+        .with_clients(4)
+        .with_seed(0x7007);
+    let cfg = RuntimeConfig::fixed_work(system, BackendChoice::Multiplexed { workers: 2 }, 40);
+    let mc = micro(4);
+    let builder = MicroWorkload::new(mc);
+    let workload = GivesUp {
+        inner: MicroWorkload::new(mc),
+        limit: 20,
+    };
+    run(cfg, workload, move |p| builder.build_engine(p));
 }

@@ -219,54 +219,6 @@ fn sharded_coordinators_are_deterministic_per_shard_count() {
     );
 }
 
-/// The `workers` knob sizes the *runtime's* reactor pool; the simulator
-/// models partition/coordinator service times, not host threads, so the
-/// knob must be completely invisible to it — same counts, same
-/// fingerprints, and the same latency distribution (p50/p99/p999 in
-/// virtual nanoseconds) at every setting. This is the sim half of the
-/// vertical-scale contract: results are a function of (seed, workload),
-/// never of how many cores the host happens to run the actors on.
-#[test]
-fn worker_knob_is_invisible_to_the_simulator() {
-    let run_w = |workers: u32| {
-        let micro = MicroConfig {
-            mp_fraction: 0.3,
-            abort_prob: 0.05,
-            clients: 24,
-            seed: 0xD5,
-            ..Default::default()
-        };
-        let system = SystemConfig::new(Scheme::Speculative)
-            .with_partitions(2)
-            .with_clients(24)
-            .with_seed(0xD5)
-            .with_workers(workers);
-        let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(100));
-        let builder = MicroWorkload::new(micro);
-        let (r, _, engines, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
-            builder.build_engine(p)
-        })
-        .run();
-        let lat = r.latency.summary();
-        (
-            r.committed,
-            r.user_aborts,
-            r.events_processed,
-            [lat.p50.0, lat.p99.0, lat.p999.0],
-            engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
-        )
-    };
-    let baseline = run_w(0);
-    for workers in [1u32, 2, 4, 8] {
-        assert_eq!(
-            run_w(workers),
-            baseline,
-            "workers={workers} leaked into the simulation"
-        );
-    }
-}
-
 #[test]
 fn identical_seeds_produce_identical_runs() {
     for scheme in Scheme::ALL {

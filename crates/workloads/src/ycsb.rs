@@ -15,7 +15,7 @@
 //! * **Determinism** — request streams come from per-client
 //!   [`SplitMix64`] streams, so a run is a pure function of the seed.
 //! * **Commutativity** — updates are blind increments (RMW), so the final
-//!   committed store is independent of commit order and the cross-backend
+//!   committed store is independent of commit order and the pool-size
 //!   equivalence and replication-determinism fingerprint tests extend to
 //!   this workload unchanged.
 //!
@@ -172,7 +172,7 @@ impl RequestGenerator for YcsbWorkload {
 /// slots are insert/delete churn, statically owned by one client each
 /// (slot `2j+1` belongs to client `j % clients`), so membership changes
 /// are per-client sequential and the final state is independent of
-/// interleaving — the property the cross-backend and failover
+/// interleaving — the property the pool-size and failover
 /// bit-determinism tests rely on, exactly as YCSB-B's blind increments.
 #[derive(Debug, Clone, Copy)]
 pub struct YcsbEConfig {

@@ -1,6 +1,6 @@
 //! Quickstart: build your own storage engine and stored procedures, then
-//! run them live on the threaded runtime under speculative concurrency
-//! control.
+//! run them live on the runtime's worker pool under speculative
+//! concurrency control.
 //!
 //! The "application" is a two-partition bank: accounts are sharded by id,
 //! deposits are single-partition transactions, and transfers between
@@ -8,7 +8,7 @@
 //! transactions (one fragment per participant, 2PC). Overdrafts abort.
 //!
 //! ```text
-//! cargo run --release --example quickstart [threaded|multiplexed[:N]]
+//! cargo run --release --example quickstart [multiplexed[:N]]
 //! ```
 
 use hcc::prelude::*;
@@ -303,7 +303,7 @@ fn main() {
     let backend = std::env::args()
         .nth(1)
         .map(|a| BackendChoice::parse(&a).unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or(BackendChoice::Threaded);
+        .unwrap_or(BackendChoice::multiplexed());
     let accounts = 1000u64;
     let system = SystemConfig::new(Scheme::Speculative)
         .with_partitions(2)

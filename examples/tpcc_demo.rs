@@ -1,43 +1,73 @@
-//! TPC-C on the live threaded runtime: the full five-transaction mix,
+//! TPC-C on the live runtime: the full five-transaction mix,
 //! partitioned by warehouse, with the read-only ITEM table replicated and
 //! STOCK vertically partitioned — exactly the paper's §5.5 setup, executed
 //! on real OS threads, followed by TPC-C consistency verification.
 //!
 //! ```text
-//! cargo run --release --example tpcc_demo [warehouses] [scheme] [threaded|multiplexed[:N]]
+//! cargo run --release --example tpcc_demo [warehouses] [scheme] [multiplexed[:N]]
 //! ```
+//!
+//! Defaults: 4 warehouses, `speculation`, `multiplexed`. A bad argument is
+//! an error, never a silent default.
 
 use hcc::prelude::*;
 use hcc::storage::tpcc::consistency;
 use hcc::workloads::tpcc::{TpccConfig, TpccWorkload};
 use std::time::Duration;
 
+const PARTITIONS: u32 = 2;
+
+/// `[warehouses] [scheme] [backend]`, each optional, each checked.
+fn parse_args(args: &[String]) -> Result<(u32, Scheme, BackendChoice), String> {
+    if args.len() > 3 {
+        return Err(format!("unexpected argument {:?}", args[3]));
+    }
+    let warehouses = match args.first() {
+        None => 4,
+        Some(a) => a.parse().ok().filter(|&w| w >= PARTITIONS).ok_or_else(|| {
+            format!("bad warehouse count {a:?} (expected an integer >= {PARTITIONS})")
+        })?,
+    };
+    let schemes = [
+        Scheme::Blocking,
+        Scheme::Speculative,
+        Scheme::Locking,
+        Scheme::Occ,
+    ];
+    let scheme = match args.get(1) {
+        None => Scheme::Speculative,
+        Some(a) => *schemes
+            .iter()
+            .find(|s| s.name() == a.as_str())
+            .ok_or_else(|| {
+                format!("unknown scheme {a:?} (expected blocking | speculation | locking | occ)")
+            })?,
+    };
+    let backend = match args.get(2) {
+        None => BackendChoice::multiplexed(),
+        Some(a) => BackendChoice::parse(a)?,
+    };
+    Ok((warehouses, scheme, backend))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let warehouses: u32 = args.first().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let scheme = match args.get(1).map(|s| s.as_str()) {
-        Some("blocking") => Scheme::Blocking,
-        Some("locking") => Scheme::Locking,
-        Some("occ") => Scheme::Occ,
-        _ => Scheme::Speculative,
-    };
-    let backend = args
-        .get(2)
-        .map(|a| BackendChoice::parse(a).unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or(BackendChoice::Threaded);
-    let partitions = 2u32;
+    let (warehouses, scheme, backend) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("tpcc_demo: {e}");
+        std::process::exit(2);
+    });
 
     println!(
-        "TPC-C: {warehouses} warehouses over {partitions} partitions, scheme = {scheme}, backend = {backend}"
+        "TPC-C: {warehouses} warehouses over {PARTITIONS} partitions, scheme = {scheme}, backend = {backend}"
     );
-    let tpcc = TpccConfig::new(warehouses, partitions);
+    let tpcc = TpccConfig::new(warehouses, PARTITIONS);
     println!(
         "  loading ({} items, {} districts/warehouse, {} customers/district)...",
         tpcc.scale.items, tpcc.scale.districts_per_warehouse, tpcc.scale.customers_per_district
     );
 
     let mut system = SystemConfig::new(scheme)
-        .with_partitions(partitions)
+        .with_partitions(PARTITIONS)
         .with_clients(16);
     system.lock_timeout = Nanos::from_millis(1);
     let cfg = RuntimeConfig::new(system, backend)

@@ -18,7 +18,7 @@
 //! | [`core`] | the schedulers, coordinator, client-side 2PC |
 //! | [`workloads`] | the paper's microbenchmark and modified TPC-C |
 //! | [`sim`] | deterministic discrete-event driver (calibrated to Table 2) |
-//! | [`runtime`] | live driver: thread-per-actor and multiplexed backends |
+//! | [`runtime`] | live driver: every actor on a multiplexed worker pool |
 //! | [`model`] | the §6 analytical throughput model |
 //!
 //! ## Quickstart
@@ -42,7 +42,7 @@
 //! println!("{}", report.summary());
 //! ```
 //!
-//! See `examples/` for the threaded runtime, TPC-C, and scheme-selection
+//! See `examples/` for the live runtime, TPC-C, and scheme-selection
 //! walkthroughs, and `crates/bench` for the harness that regenerates every
 //! figure and table of the paper.
 
@@ -67,10 +67,7 @@ pub mod prelude {
         make_scheduler, ExecOutcome, ExecutionEngine, Outbox, PartitionOut, Procedure, ReplicaCore,
         ReplicationSession, Request, RequestGenerator, RoundOutputs, Scheduler, Step,
     };
-    pub use hcc_runtime::{
-        run, Backend, BackendChoice, MultiplexedBackend, RunMode, RuntimeConfig, RuntimeReport,
-        ThreadedBackend,
-    };
+    pub use hcc_runtime::{run, BackendChoice, RunMode, RuntimeConfig, RuntimeReport};
     pub use hcc_sim::{SimConfig, SimFailover, SimReport, Simulation};
 }
 

@@ -151,8 +151,8 @@ fn adaptive_off_report_is_empty() {
     }
 }
 
-/// Fixed-work runtime runs with adaptive on: both backends, every pool
-/// size, must land bit-identical committed state. Switch *points* are
+/// Fixed-work runtime runs with adaptive on: every pool size must land
+/// the single-worker run's committed state bit for bit. Switch *points* are
 /// interleaving-dependent in a live runtime (windows close on whatever
 /// outcome order the host produced), but all four schemes are
 /// serializable over commutative key-disjoint effects, so the final
@@ -189,11 +189,11 @@ fn adaptive_runtime_backends_agree_on_committed_state() {
             .map(|e| e.fingerprint())
             .collect::<Vec<_>>()
     };
-    let threaded = fingerprints(BackendChoice::Threaded);
-    for workers in [1usize, 2, 4] {
-        let multiplexed = fingerprints(BackendChoice::Multiplexed { workers });
+    let one = fingerprints(BackendChoice::Multiplexed { workers: 1 });
+    for workers in [2usize, 4] {
+        let pool = fingerprints(BackendChoice::Multiplexed { workers });
         assert_eq!(
-            threaded, multiplexed,
+            one, pool,
             "adaptive committed state diverged at {workers} workers"
         );
     }
